@@ -48,7 +48,7 @@ from .errors import (
 from .families import BranchFamily, FamilyError, family
 from .implicit import implicitize, implicitize_symmetric, milnor_number, polar
 from .newton import NewtonPolygon, Side, is_newton_nondegenerate, newton_polygon, nondegenerate_type
-from .poly import BivariatePolynomial, resultant_y, sylvester_resultant_y
+from .poly import BivariatePolynomial, resultant_y
 from .puiseux import puiseux_expand
 from .report import AnalysisReport, analyze
 from .semigroup import NumericalSemigroup, semigroup_from_generators
@@ -108,7 +108,6 @@ __all__ = [
     "semigroup_from_generators",
     "semigroup_of_branch",
     "stratum_sweep",
-    "sylvester_resultant_y",
     "zariski_invariant",
 ]
 

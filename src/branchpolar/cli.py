@@ -138,8 +138,15 @@ def _cmd_sweep(args) -> int:
                 samples=args.samples,
                 include_walls=not args.no_walls,
             )
-    except BranchPolarError as exc:
+    except AssertionError as exc:  # an internal cross-check failed
+        _emit({"error": {"stage": "verify", "message": str(exc)}}, args.json)
+        return INTERNAL_EXIT
+    except (BranchPolarError, ValueError, ArithmeticError) as exc:
         _emit({"error": {"stage": "sweep", "message": str(exc)}}, args.json)
+        return INTERNAL_EXIT
+    if report.teissier_failures:
+        message = f"{report.teissier_failures} of {report.trials} trials fail the Teissier identity"
+        _emit({"error": {"stage": "verify", "message": message}}, args.json)
         return INTERNAL_EXIT
     payload = {
         "family": fam.name,

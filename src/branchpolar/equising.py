@@ -33,6 +33,7 @@ from .branch import PuiseuxBranch, semigroup_of_branch
 from .eqtype import EquisingularityType
 from .errors import (
     AmbiguousPairingError,
+    BranchPolarError,
     GenericityError,
     NotReducedError,
     PrecisionError,
@@ -493,6 +494,9 @@ def generic_polar_type(
         rng = random.Random(1729)
     f = implicitize(b)
     mu = milnor_number(f)
+    conductor = semigroup_of_branch(b).conductor
+    if mu != conductor:  # Milnor's formula for a branch: mu = 2 delta = c
+        raise AssertionError(f"Milnor number {mu} by resultant, conductor {conductor}")
     picked: list[tuple[Fraction, Fraction]] = []
     types: list[EquisingularityType] = []
     teissier = True
@@ -558,18 +562,23 @@ class SweepReport:
     trials: int
     errors: tuple[str, ...]
     uncertified: int
+    teissier_failures: int
 
 
 def _sweep_trial(job) -> tuple[dict, object]:
     """One sweep trial; module-level so process pools can pickle it.  The
     per-trial seed is derived from (sweep seed, index), which makes the
-    sweep's result independent of the worker count."""
+    sweep's result independent of the worker count.
+
+    A library error of one sample is data; a failed internal verification
+    (``AssertionError``) or any other exception propagates.
+    """
     family, params, samples, trial_seed = job
     try:
         b = family.branch(params)
         rep = generic_polar_type(b, samples=samples, rng=random.Random(trial_seed))
         return params, rep
-    except Exception as exc:  # per-sample failures are data, not fatal
+    except BranchPolarError as exc:
         return params, f"{type(exc).__name__}: {exc}"
 
 
@@ -604,6 +613,7 @@ def stratum_sweep(
     groups: list[dict] = []
     errors: list[str] = []
     uncertified = 0
+    teissier_failures = 0
     for params, rep in mapper(_sweep_trial, work):
         if isinstance(rep, str):
             errors.append(f"{params}: {rep}")
@@ -611,6 +621,8 @@ def stratum_sweep(
         pm = rep.polar_type.milnor_number()
         if not rep.certified:
             uncertified += 1
+        if not rep.teissier_ok:
+            teissier_failures += 1
         for grec in groups:
             if grec["type"] == rep.polar_type:
                 grec["count"] += 1
@@ -636,4 +648,5 @@ def stratum_sweep(
         trials=trials,
         errors=tuple(errors),
         uncertified=uncertified,
+        teissier_failures=teissier_failures,
     )

@@ -160,9 +160,7 @@ def milnor_number(f: BivariatePolynomial, rng: random.Random | None = None) -> i
             raise NonIsolatedSingularityError("cannot make f y-general by shearing")
 
     orders = []
-    attempts = 0
-    while len(orders) < 2 and attempts < 6:
-        attempts += 1
+    for _ in range(2):
         rho = Fraction(rng.randint(1, 100), rng.randint(1, 100))
         if rng.randint(0, 1):
             rho = -rho

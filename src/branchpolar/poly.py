@@ -2,19 +2,27 @@
 
 A :class:`BivariatePolynomial` is a sparse support-indexed polynomial in
 ``x, y`` whose coefficients are rationals or tower elements; no stored
-coefficient is ring-zero.  The same class doubles as the coefficient ring for
-the polynomial remainder sequences below: a univariate polynomial in a main
-variable (``y`` for ``resultant_y``, the parameter ``t`` for
-implicitization) is a dense list of :class:`BivariatePolynomial`
-coefficients, and the resultant is computed by the subresultant PRS of Brown,
-which keeps intermediate coefficients at subresultant size instead of letting
-pseudo-remainders blow up.
+coefficient is ring-zero.  A univariate polynomial in a main variable (``y``
+for ``resultant_y``, the parameter ``t`` for implicitization) is a dense list
+of coefficients in x, and the resultant is computed by the subresultant PRS
+of Brown, which keeps intermediate coefficients at subresultant size instead
+of letting pseudo-remainders blow up.  The PRS needs an integral domain with
+exact division, and runs over one of two coefficient rings:
+
+* :class:`ZX`, dense integer polynomials in x.  ``resultant_y`` picks it
+  when every coefficient of both inputs is a ``Fraction``: each input is
+  scaled to a primitive integer polynomial, the PRS divides exactly in
+  Z[x] without any ``Fraction`` arithmetic, and the scales are divided back
+  out of the resultant.
+* :class:`BivariatePolynomial` itself, for everything else: tower-valued
+  inputs to ``resultant_y``, implicitization and ``y_gcd_degree``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from typing import Mapping
 
 from .tower import Value, invert_value, project_value, value_is_zero
 
@@ -55,8 +63,8 @@ class BivariatePolynomial:
         return BivariatePolynomial({(i, j): c})
 
     @staticmethod
-    def from_x_poly(coeffs: Iterable[Value]) -> "BivariatePolynomial":
-        return BivariatePolynomial({(i, 0): c for i, c in enumerate(coeffs)})
+    def one() -> "BivariatePolynomial":
+        return BivariatePolynomial.constant(Fraction(1))
 
     # -- structure -------------------------------------------------------------
 
@@ -85,16 +93,6 @@ class BivariatePolynomial:
         for (i, j), c in self.terms.items():
             out[j][(i, 0)] = c
         return [BivariatePolynomial(t) for t in out]
-
-    @staticmethod
-    def from_y_coefficients(coeffs: list["BivariatePolynomial"]) -> "BivariatePolynomial":
-        terms = {}
-        for j, p in enumerate(coeffs):
-            for (i, jj), c in p.terms.items():
-                if jj:
-                    raise ValueError("coefficient polynomials must be x-only")
-                terms[(i, j)] = c
-        return BivariatePolynomial(terms)
 
     def x_power_divisor(self) -> int:
         """Largest p with x^p dividing self (0 for the zero polynomial)."""
@@ -172,7 +170,7 @@ class BivariatePolynomial:
         return out
 
     def __pow__(self, n: int) -> "BivariatePolynomial":
-        out = BivariatePolynomial.constant(Fraction(1))
+        out = self.one()
         base = self
         while n:
             if n & 1:
@@ -305,9 +303,100 @@ class BivariatePolynomial:
         return "BivariatePolynomial(" + " + ".join(bits) + ")"
 
 
-# -- polynomial remainder sequences over BivariatePolynomial coefficients ------
+class ZX(list):
+    """Dense polynomial in x over the integers: ``self[i]`` is the
+    coefficient of x^i, with no trailing zeros, so ``[]`` is zero.
 
-MainPoly = list  # dense list of BivariatePolynomial in a main variable
+    The coefficient ring of the PRS on rational inputs; it has exactly the
+    operations the PRS uses.
+    """
+
+    __slots__ = ()
+    # list concatenation and repetition are not ring operations
+    __add__ = __iadd__ = __rmul__ = __imul__ = None
+
+    @staticmethod
+    def zero() -> "ZX":
+        return ZX()
+
+    @staticmethod
+    def one() -> "ZX":
+        return ZX((1,))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self
+
+    def __neg__(self) -> "ZX":
+        return ZX([-a for a in self])
+
+    def __sub__(self, other: "ZX") -> "ZX":
+        if len(self) >= len(other):
+            out = ZX(self)
+            for i, b in enumerate(other):
+                out[i] -= b
+        else:
+            out = -other
+            for i, a in enumerate(self):
+                out[i] += a
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    def __mul__(self, other: "ZX") -> "ZX":
+        # Z is a domain: the product of the leading coefficients is nonzero
+        if not self or not other:
+            return ZX()
+        out = ZX([0] * (len(self) + len(other) - 1))
+        for i, a in enumerate(self):
+            if a:
+                for k, b in enumerate(other, i):
+                    out[k] += a * b
+        return out
+
+    __pow__ = BivariatePolynomial.__pow__  # square-and-multiply from one()
+
+    def exact_div(self, d: "ZX") -> "ZX":
+        """Exact quotient self/d in Z[x]; raises ArithmeticError when d does
+        not divide self over the integers."""
+        if not d:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self:
+            return ZX()
+        dd, lead = len(d) - 1, d[-1]
+        if len(self) <= dd:
+            raise ArithmeticError("division is not exact")
+        rem = list(self)
+        q = ZX([0] * (len(self) - dd))
+        for k in range(len(q) - 1, -1, -1):
+            c, r = divmod(rem[k + dd], lead)
+            if r:
+                raise ArithmeticError("division is not exact")
+            if c:
+                q[k] = c
+                for i in range(dd):
+                    rem[k + i] -= c * d[i]
+        if any(rem[:dd]):
+            raise ArithmeticError("division is not exact")
+        return q
+
+
+def _zx_y_coefficients(f: BivariatePolynomial) -> tuple[list[ZX], Fraction]:
+    """The y-coefficients of a rational f scaled into primitive integer
+    polynomials, and the scale s with ``ZX coefficients = s * f``."""
+    cs = f.terms.values()
+    scale = Fraction(lcm(*(c.denominator for c in cs)), gcd(*(c.numerator for c in cs)))
+    rows = [[] for _ in range(f.degree_y() + 1)]
+    for (i, j), c in f.terms.items():
+        row = rows[j]
+        row.extend([0] * (i + 1 - len(row)))
+        row[i] = int(c * scale)
+    return [ZX(row) for row in rows], scale
+
+
+# -- polynomial remainder sequences over a coefficient ring ----------------------
+
+MainPoly = list  # dense list of ring elements (BivariatePolynomial or ZX) in a main variable
 
 
 def _mstrip(f: MainPoly) -> MainPoly:
@@ -351,7 +440,7 @@ def _prem(f: MainPoly, g: MainPoly) -> MainPoly:
     return r
 
 
-def subresultant_prs(f: MainPoly, g: MainPoly) -> tuple[list[MainPoly], list[BivariatePolynomial]]:
+def subresultant_prs(f: MainPoly, g: MainPoly) -> tuple[list[MainPoly], list]:
     """Brown's subresultant PRS.
 
     Returns the remainder sequence and the scalar subresultants; when the
@@ -365,9 +454,9 @@ def subresultant_prs(f: MainPoly, g: MainPoly) -> tuple[list[MainPoly], list[Biv
         n, m = m, n
     if n < 0:
         return [], []
-    one = BivariatePolynomial.constant(Fraction(1))
     if m < 0:
-        return [f], [one]
+        return [f], [f[-1].one()]
+    one = g[-1].one()
     R = [f, g]
     d = n - m
     sign = -one if (d + 1) % 2 else one
@@ -393,10 +482,11 @@ def subresultant_prs(f: MainPoly, g: MainPoly) -> tuple[list[MainPoly], list[Biv
     return R, S
 
 
-def prs_resultant(f: MainPoly, g: MainPoly) -> BivariatePolynomial:
-    """Resultant of two main-variable polynomials with the Sylvester sign
-    convention (the internal PRS swaps arguments of increasing degree, which
-    costs a factor (-1)^(deg f * deg g))."""
+def prs_resultant(f: MainPoly, g: MainPoly):
+    """Resultant of two main-variable polynomials, an element of their
+    coefficient ring, with the Sylvester sign convention (the internal PRS
+    swaps arguments of increasing degree, which costs a factor
+    (-1)^(deg f * deg g))."""
     f, g = _mstrip(f), _mstrip(g)
     if not f or not g:
         return BivariatePolynomial.zero()
@@ -409,7 +499,7 @@ def prs_resultant(f: MainPoly, g: MainPoly) -> BivariatePolynomial:
     swapped = _mdeg(f) < _mdeg(g)
     R, S = subresultant_prs(f, g)
     if _mdeg(R[-1]) > 0:
-        return BivariatePolynomial.zero()
+        return R[-1][-1].zero()
     res = S[-1]
     if swapped and (_mdeg(f) * _mdeg(g)) % 2:
         res = -res
@@ -419,7 +509,8 @@ def prs_resultant(f: MainPoly, g: MainPoly) -> BivariatePolynomial:
 def resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
     """Resultant of f and g with respect to y (an x-only polynomial).
 
-    Computed by subresultant PRS.  Inputs of y-degree zero in both arguments
+    Computed by subresultant PRS, over :class:`ZX` when every coefficient
+    of both inputs is a ``Fraction``.  Inputs of y-degree zero in both arguments
     are rejected; if exactly one has positive y-degree the resultant
     degenerates to a power of the other.
     """
@@ -428,7 +519,16 @@ def resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePoly
         raise ValueError("resultant_y needs positive y-degree in an argument")
     if f.is_zero or g.is_zero:
         raise ValueError("resultant_y of the zero polynomial")
-    res = prs_resultant(f.y_coefficients(), g.y_coefficients())
+    if all(isinstance(c, Fraction) for p in (f, g) for c in p.terms.values()):
+        # Res(sF, tG) = s^deg_y(G) * t^deg_y(F) * Res(F, G)
+        F, s = _zx_y_coefficients(f)
+        G, t = _zx_y_coefficients(g)
+        scale = s**dyg * t**dyf
+        res = BivariatePolynomial(
+            {(i, 0): Fraction(r) / scale for i, r in enumerate(prs_resultant(F, G)) if r}
+        )
+    else:
+        res = prs_resultant(f.y_coefficients(), g.y_coefficients())
     if res.degree_y() > 0:
         raise AssertionError("resultant_y did not eliminate y")
     return res
@@ -444,41 +544,3 @@ def y_gcd_degree(f: BivariatePolynomial, g: BivariatePolynomial) -> int:
         return _mdeg(F)
     R, _ = subresultant_prs(F, G)
     return _mdeg(R[-1])
-
-
-def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
-    """Resultant via fraction-free Bareiss elimination of the Sylvester
-    matrix; an independent route kept as an oracle for the PRS path."""
-    F, G = _mstrip(f.y_coefficients()), _mstrip(g.y_coefficients())
-    n, m = _mdeg(F), _mdeg(G)
-    if n < 0 or m < 0:
-        return BivariatePolynomial.zero()
-    size = n + m
-    zero = BivariatePolynomial.zero()
-    M = [[zero] * size for _ in range(size)]
-    for r in range(m):
-        for k in range(n + 1):
-            M[r][r + k] = F[n - k]
-    for r in range(n):
-        for k in range(m + 1):
-            M[m + r][r + k] = G[m - k]
-    # Bareiss: exact-division fraction-free Gaussian elimination
-    sign = 1
-    prev = BivariatePolynomial.constant(Fraction(1))
-    for k in range(size - 1):
-        if M[k][k].is_zero:
-            for r in range(k + 1, size):
-                if not M[r][k].is_zero:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return BivariatePolynomial.zero()
-        for r in range(k + 1, size):
-            for c in range(k + 1, size):
-                num = M[r][c] * M[k][k] - M[r][k] * M[k][c]
-                M[r][c] = num.exact_div(prev)
-            M[r][k] = zero
-        prev = M[k][k]
-    det = M[size - 1][size - 1]
-    return det if sign == 1 else -det

@@ -174,6 +174,7 @@ def encode_sweep(report: SweepReport) -> dict:
     return {
         "trials": report.trials,
         "uncertified": report.uncertified,
+        "teissier_failures": report.teissier_failures,
         "groups": [
             {
                 "type": encode_type(g.polar_type),

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from branchpolar.cli import main
 
 
@@ -81,10 +83,21 @@ def test_sweep_stratum_11(capsys):
     code, out = run_cli(capsys, "sweep", "gamma-5-12/11", "--trials", "4", "--seed", "1")
     assert code == 0
     payload = json.loads(out)
+    assert payload["report"]["teissier_failures"] == 0
     groups = payload["report"]["groups"]
     assert len(groups) == 1
     assert groups[0]["type"]["branches"] == [[2, 5], [2, 5]]
     assert groups[0]["type"]["intersections"][0][1] == 10
+
+
+@pytest.mark.parametrize("patched", ["intersection_multiplicity", "milnor_number"])
+def test_sweep_verification_failure_exits_1(monkeypatch, capsys, patched):
+    import branchpolar.equising as equising
+
+    monkeypatch.setattr(equising, patched, lambda *args: 0)
+    code, out = run_cli(capsys, "sweep", "gamma-5-12/11", "--trials", "1", "--seed", "1")
+    assert code == 1
+    assert json.loads(out)["error"]["stage"] == "verify"
 
 
 def test_sweep_zero_trials_rejected(capsys):

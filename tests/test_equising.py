@@ -134,7 +134,20 @@ def test_sweep_stratum_8_single_type():
     rep = stratum_sweep(gamma_5_12(8), 6, seed=11)
     assert len(rep.groups) == 1 and rep.groups[0].count == 6
     assert rep.groups[0].polar_type.branches[0].generators == (4, 11)
-    assert not rep.errors
+    assert not rep.errors and rep.teissier_failures == 0
+
+
+def test_sweep_surfaces_failed_verifications(monkeypatch):
+    import branchpolar.equising as equising
+
+    # a Teissier failure is counted, not dropped
+    monkeypatch.setattr(equising, "intersection_multiplicity", lambda b, g: 0)
+    rep = stratum_sweep(gamma_5_12(11), 2, seed=3)
+    assert rep.teissier_failures == 2 and not rep.errors
+    # a Milnor number off the conductor raises instead of becoming an error string
+    monkeypatch.setattr(equising, "milnor_number", lambda f: milnor_number(f) + 1)
+    with pytest.raises(AssertionError, match="conductor"):
+        stratum_sweep(gamma_5_12(11), 1, seed=3)
 
 
 def test_sweep_stratum_18_walls_show_types():
@@ -190,7 +203,7 @@ def test_mult4_deep_wall_contact_verified_by_two_milnor_routes():
     # instance of the same wall does match the printed formula (see the
     # acceptance suite).
     from branchpolar.families import SQRT6
-    from branchpolar.poly import sylvester_resultant_y
+    from oracles import sylvester_resultant_y
 
     terms = {29: F(1), 35: F(1), 38: F(4, 9) * SQRT6, 50: F(-4, 81) * SQRT6}
     b = PuiseuxBranch.from_terms(4, terms)

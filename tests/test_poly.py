@@ -5,19 +5,59 @@ from fractions import Fraction as F
 
 import pytest
 
+from branchpolar import poly
+from branchpolar.families import SQRT6
 from branchpolar.poly import (
+    ZX,
     BivariatePolynomial as BP,
     resultant_y,
-    sylvester_resultant_y,
     y_gcd_degree,
 )
+from oracles import sylvester_resultant_y
+
+PRIMES = (10007, 10009, 10037, 99991, 1000003, 1000033)
 
 
-def rand_poly(rng, terms=6, deg=4, height=10):
+def rand_poly(rng, terms=6, deg=4, height=10, dens=(1,), ydeg=None):
     t = {}
     for _ in range(rng.randint(2, terms)):
-        t[(rng.randint(0, deg), rng.randint(0, deg))] = F(rng.randint(-height, height))
+        j = rng.randint(0, deg) if ydeg is None else ydeg
+        t[(rng.randint(0, deg), j)] = F(rng.randint(-height, height), rng.choice(dens))
     return BP(t)
+
+
+def sqrt6_poly(rng):
+    return BP({
+        (rng.randint(0, 2), rng.randint(0, 2)): F(rng.randint(-5, 5)) + F(rng.randint(1, 5)) * SQRT6
+        for _ in range(rng.randint(2, 4))
+    })
+
+
+def oracle_pairs(rng):
+    """(kind, f, g) inputs for the PRS-against-Sylvester comparison."""
+    for _ in range(200):
+        yield "integer", rand_poly(rng), rand_poly(rng)
+    for _ in range(30):
+        yield (
+            "coprime denominators",
+            rand_poly(rng, terms=5, deg=3, height=10**6, dens=PRIMES),
+            rand_poly(rng, terms=5, deg=3, height=10**6, dens=PRIMES),
+        )
+    for _ in range(20):
+        c = rand_poly(rng, terms=3, deg=2, dens=(1, 3, 7), ydeg=1) + BP({(0, 2): F(1)})
+        yield (
+            "common factor",
+            rand_poly(rng, terms=3, deg=2, dens=(1, 2, 5)) * c,
+            rand_poly(rng, terms=3, deg=2, dens=(1, 11)) * c,
+        )
+    for _ in range(20):
+        yield (
+            "y-degree 0",
+            rand_poly(rng, terms=5, deg=3, dens=(1, 4, 9)),
+            rand_poly(rng, terms=3, deg=3, dens=(1, 4, 9), ydeg=0),
+        )
+    for _ in range(6):
+        yield "sqrt6", sqrt6_poly(rng), sqrt6_poly(rng)
 
 
 def test_resultant_trivial_examples():
@@ -35,16 +75,43 @@ def test_resultant_for_cusp_milnor():
 
 
 def test_prs_equals_sylvester_on_randoms(rng):
-    checked = 0
-    for _ in range(200):
-        a, b = rand_poly(rng), rand_poly(rng)
+    checked = {}
+    for kind, a, b in oracle_pairs(rng):
         if a.is_zero or b.is_zero:
             continue
         if a.degree_y() <= 0 and b.degree_y() <= 0:
             continue
-        assert resultant_y(a, b) == sylvester_resultant_y(a, b)
-        checked += 1
-    assert checked > 150
+        res = resultant_y(a, b)
+        assert res == sylvester_resultant_y(a, b), kind
+        if kind == "common factor":
+            assert res.is_zero
+        assert resultant_y(b, a) == res * BP.constant(F((-1) ** (a.degree_y() * b.degree_y())))
+        checked[kind] = checked.get(kind, 0) + 1
+    assert checked["integer"] > 150
+    assert min(checked.values()) >= 5 and len(checked) == 5
+
+
+def test_resultant_ring_follows_coefficients(monkeypatch, rng):
+    rings = []
+    prs = poly.prs_resultant
+
+    def spy(f, g):
+        rings.append({type(c) for c in f + g})
+        return prs(f, g)
+
+    monkeypatch.setattr(poly, "prs_resultant", spy)
+    resultant_y(rand_poly(rng, dens=PRIMES), rand_poly(rng))
+    resultant_y(sqrt6_poly(rng), rand_poly(rng))
+    assert rings == [{ZX}, {BP}]
+
+
+def test_zx_exact_division():
+    a, b = ZX([3, -2, 0, 5]), ZX([-7, 1, 4])
+    assert (a * b).exact_div(b) == a and (a * b).exact_div(a) == b
+    # a remainder, a quotient outside Z[x], a divisor of higher degree
+    for num, den in ((a * b - ZX([1])), b), (ZX([0, 1]), ZX([0, 2])), (b, a):
+        with pytest.raises(ArithmeticError):
+            num.exact_div(den)
 
 
 def test_resultant_multiplicative(rng):
