@@ -46,7 +46,7 @@ from .errors import (
     NotReducedError,
 )
 from .families import BranchFamily, FamilyError, family
-from .implicit import implicitize, implicitize_symmetric, milnor_number, polar
+from .implicit import implicitize, milnor_number, polar
 from .newton import NewtonPolygon, Side, is_newton_nondegenerate, newton_polygon, nondegenerate_type
 from .poly import BivariatePolynomial, resultant_y
 from .puiseux import puiseux_expand
@@ -92,7 +92,6 @@ __all__ = [
     "format_branch",
     "generic_polar_type",
     "implicitize",
-    "implicitize_symmetric",
     "intersection_multiplicity",
     "is_newton_nondegenerate",
     "is_squarefree",

@@ -64,9 +64,11 @@ class EquisingularityType:
 
     def milnor_number(self) -> int:
         """mu of the reduced germ from branch conductors and intersections:
-        mu = sum mu_i + 2 sum_{i<j} I_ij - (r - 1)."""
-        mu = sum(b.conductor for b in self.branches)
+        mu = sum mu_i + 2 sum_{i<j} I_ij - (r - 1), and 0 for the empty germ."""
         r = len(self.branches)
+        if r == 0:
+            return 0
+        mu = sum(b.conductor for b in self.branches)
         for i in range(r):
             for j in range(i + 1, r):
                 mu += 2 * self.intersections[i][j]

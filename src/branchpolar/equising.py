@@ -388,8 +388,11 @@ def equisingularity_type(
     expansion target (three retries).  Germs with a branch tangent to x = 0
     (a side of inclination < 1, or an x-factor) are sheared x -> x + sigma*y
     first, which changes nothing topologically.  The result is cross-checked
-    against the Milnor number of the (sheared) germ.
+    against the Milnor number of the (sheared) germ.  A germ with f(0,0) != 0
+    has no curve at the origin and gets the empty type.
     """
+    if (0, 0) in f.terms:
+        return EquisingularityType.of([], [])
     if rng is None:
         rng = random.Random(97)
     work = f
@@ -418,11 +421,8 @@ def equisingularity_type(
     else:
         raise GenericityError("could not shear away branches tangent to x = 0")
 
-    if core.support() == [(0, 0)]:
-        # the germ was the y-axis alone
-        if yq == 1:
-            return EquisingularityType.single(semigroup_from_generators([1]))
-        raise ValueError("unit germ: no curve at the origin")
+    if core.support() == [(0, 0)]:  # the germ was the y-axis alone
+        return EquisingularityType.single(semigroup_from_generators([1]))
 
     mu = milnor_number(work) if check_milnor else None
 

@@ -6,9 +6,6 @@ Implicitization eliminates the parameter by a t-resultant,
 
 which is exact because normal-form parametrizations are polynomial; the
 result is the monic degree-n Weierstrass polynomial vanishing on the branch.
-The symmetric-function route through power sums (no roots of unity are
-needed: power sums of y(eps^l t) keep only exponents divisible by n) is kept
-alongside as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from fractions import Fraction
 from .branch import PuiseuxBranch
 from .errors import NonIsolatedSingularityError
 from .poly import BivariatePolynomial, prs_resultant, resultant_y
-from .series import TruncatedSeries, evaluate_bivariate
+from .series import evaluate_bivariate
 from .tower import Value, invert_value, value_is_zero
 
 
@@ -52,62 +49,6 @@ def implicitize(b: PuiseuxBranch) -> BivariatePolynomial:
         f = f * BivariatePolynomial.constant(invert_value(lc))
     _check_weierstrass(f, b)
     return f
-
-
-def implicitize_symmetric(b: PuiseuxBranch) -> BivariatePolynomial:
-    """Implicitization through elementary symmetric functions of the
-    conjugates y(eps^l t) via power sums and Newton's identities.
-
-    Independent of the resultant route; used as a test oracle.
-    """
-    if b.trunc is not None:
-        raise ValueError("implicitization needs an exact polynomial parametrization")
-    n = b.n
-    ys = b.y_series(None)
-    one = TruncatedSeries.constant(Fraction(1))
-    ypows = [one]
-    for _ in range(n):
-        ypows.append(ypows[-1] * ys)
-    # p_k(t) = sum_l y(eps^l t)^k keeps exactly the exponents divisible by n
-    ps = []
-    for k in range(1, n + 1):
-        pk = {e: n * c for e, c in ypows[k].terms.items() if e % n == 0}
-        ps.append(pk)
-    es = [{0: Fraction(1)} if False else {}]  # e_0 handled implicitly below
-    es[0] = {0: Fraction(1)}
-    for k in range(1, n + 1):
-        acc: dict[int, Value] = {}
-        sign = 1
-        for i in range(1, k + 1):
-            term = _dict_mul(es[k - i], ps[i - 1])
-            for e, c in term.items():
-                v = acc.get(e, Fraction(0)) + sign * c
-                if value_is_zero(v):
-                    acc.pop(e, None)
-                else:
-                    acc[e] = v
-            sign = -sign
-        es.append({e: c / k for e, c in acc.items()})
-    terms: dict = {}
-    terms[(0, n)] = Fraction(1)
-    for r in range(1, n + 1):
-        for e, c in es[r].items():
-            v = c if r % 2 == 0 else -c
-            terms[(e // n, n - r)] = v
-    return BivariatePolynomial(terms)
-
-
-def _dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            v = out.get(e, Fraction(0)) + c1 * c2
-            if value_is_zero(v):
-                out.pop(e, None)
-            else:
-                out[e] = v
-    return out
 
 
 def _check_weierstrass(f: BivariatePolynomial, b: PuiseuxBranch) -> None:

@@ -9,6 +9,11 @@ quadratically convergent Newton iteration on truncated series; multiple
 roots recurse on the transformed germ.  Fractional exponents never appear:
 the ramifications e multiply up into the final substitution x = t^N.
 
+The Newton solve follows two precision rules.  A step to t^prec inverts
+f_y only mod t^(prec - h), where h is the measured order of the residual.
+The solve runs one term past its validity order w, and a nonzero t^w term
+refutes exactness without evaluating f at the solution again.
+
 Conjugate branches are never separated.  A finished branch whose tower has
 relative degree D over the expansion base represents D / N geometric
 branches (N its ramification): the side polynomial is invariant under
@@ -221,7 +226,19 @@ def _regular_solve(f, budget) -> tuple[dict, int | None]:
     """Solve f(x, y(x)) = 0 with y(0) = 0 at a simple root: f(0,0) = 0 and
     d f/d y (0,0) a unit.  Newton iteration with precision doubling; the
     quadratic convergence certifies each doubled validity order.  Returns
-    the terms and the validity order (None when the solution is exact)."""
+    the terms below w = budget + 1 and the validity order w (None when
+    those terms are an exact solution).
+
+    Two precision rules keep the work to what the certificate needs:
+
+    * When the residual f(y) mod t^prec has order h, the correction
+      f(y) / f_y(y) is needed only mod t^prec, so f_y(y) and its inverse
+      are needed only mod t^(prec - h).  h is measured, not assumed, so a
+      shortfall costs time and never correctness.
+    * The solution is unique, so a nonzero t^w term of it proves that its
+      truncation below w is not a polynomial root.  The iteration runs to
+      t^(w+1), and f is evaluated exactly only when that term vanishes.
+    """
     w = budget + 1
     fy = f.derivative_y()
     d0 = fy.terms.get((0, 0), Fraction(0))
@@ -231,15 +248,18 @@ def _regular_solve(f, budget) -> tuple[dict, int | None]:
     xs = TruncatedSeries.monomial(1)
     y = TruncatedSeries.zero(1)
     prec = 1
-    while prec < w:
-        prec = min(2 * prec, w)
+    while prec <= w:
+        prec = min(2 * prec, w + 1)
         ycur = y.declare_trunc(prec)
         num = evaluate_bivariate(f, xs, ycur).truncate(prec)
         if num.is_zero_mod_trunc:
             y = ycur
             continue
-        den = evaluate_bivariate(fy, xs, ycur).truncate(prec)
-        y = (ycur - num * den.inverse(prec)).truncate(prec).declare_trunc(prec)
+        k = prec - num.min_exponent()
+        den = evaluate_bivariate(fy, xs, ycur.truncate(k)).truncate(k)
+        y = (ycur - num * den.inverse(k)).truncate(prec).declare_trunc(prec)
+    if w in y.terms:
+        return dict(y.truncate(w).terms), w
     exact = evaluate_bivariate(f, xs, y.declare_trunc(None)).is_exact_zero
     return dict(y.terms), None if exact else w
 

@@ -154,13 +154,6 @@ class TruncatedSeries:
             return TruncatedSeries.zero(self.trunc)
         return TruncatedSeries({e: v * c for e, v in self.terms.items()}, self.trunc)
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k."""
-        return TruncatedSeries(
-            {e + k: c for e, c in self.terms.items()},
-            None if self.trunc is None else self.trunc + k,
-        )
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -530,28 +530,6 @@ def invert_value(v: Value) -> Value:
     return inv
 
 
-def tower_of_value(v: Value) -> Tower | None:
-    return v.tower if isinstance(v, TowerElement) else None
-
-
-def unify_values(a: Value, b: Value) -> tuple[Value, Value]:
-    """Bring two values into a common tower (prefix lifting only)."""
-    ta, tb = tower_of_value(a), tower_of_value(b)
-    if ta is None and tb is None:
-        return a, b
-    if ta is None:
-        return tb.from_rational(a), b
-    if tb is None:
-        return a, ta.from_rational(b)
-    if ta is tb or ta == tb:
-        return a, b
-    if ta.is_prefix_of(tb):
-        return tb.lift(a), b
-    if tb.is_prefix_of(ta):
-        return a, ta.lift(b)
-    raise ValueError("values live in unrelated towers")
-
-
 def project_value(v: Value, tower: Tower | None) -> Value:
     """Project a value into a component tower (identity on rationals)."""
     if tower is None or not isinstance(v, TowerElement):

@@ -75,13 +75,6 @@ def uderiv(p: UPoly) -> UPoly:
     return ustrip([i * c for i, c in enumerate(p)][1:])
 
 
-def ueval(p: UPoly, v: Value) -> Value:
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * v + c
-    return out
-
-
 def umonic(p: UPoly) -> tuple[UPoly, Value]:
     """Normalize to a monic polynomial; returns (monic, leading coefficient).
 
@@ -149,15 +142,6 @@ def ugcd(p: UPoly, q: UPoly) -> UPoly:
     if not a:
         return []
     m, _ = umonic(a)
-    return m
-
-
-def usquarefree_part(p: UPoly) -> UPoly:
-    g = ugcd(p, uderiv(p))
-    if udeg(g) <= 0:
-        m, _ = umonic(p)
-        return m
-    m, _ = umonic(uexact_div(p, g))
     return m
 
 

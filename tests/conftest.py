@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -7,10 +6,3 @@ import pytest
 @pytest.fixture
 def rng():
     return random.Random(20260810)
-
-
-def rand_rational(rng, lo=-10, hi=10, den=10, nonzero=False):
-    while True:
-        v = Fraction(rng.randint(lo, hi), rng.randint(1, den))
-        if v or not nonzero:
-            return v

@@ -1,7 +1,12 @@
 """Independent reference implementations that tests compare the library
 against."""
 
+from fractions import Fraction
+
+from branchpolar.branch import PuiseuxBranch
 from branchpolar.poly import BivariatePolynomial
+from branchpolar.series import TruncatedSeries, evaluate_bivariate
+from branchpolar.tower import classify_value, value_is_zero
 
 
 def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
@@ -41,3 +46,81 @@ def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> Biv
         prev = M[k][k]
     det = M[size - 1][size - 1]
     return det if sign == 1 else -det
+
+
+def implicitize_symmetric(b: PuiseuxBranch) -> BivariatePolynomial:
+    """Implicitization through elementary symmetric functions of the
+    conjugates y(eps^l t) via power sums and Newton's identities; an
+    independent route kept as an oracle for the t-resultant.  No roots of
+    unity are needed: power sums of the conjugates keep exactly the
+    exponents of y(t)^k divisible by n."""
+    if b.trunc is not None:
+        raise ValueError("implicitization needs an exact polynomial parametrization")
+    n = b.n
+    ys = b.y_series(None)
+    ypows = [TruncatedSeries.constant(Fraction(1))]
+    for _ in range(n):
+        ypows.append(ypows[-1] * ys)
+    # p_k(t) = sum_l y(eps^l t)^k keeps exactly the exponents divisible by n
+    ps = []
+    for k in range(1, n + 1):
+        ps.append({e: n * c for e, c in ypows[k].terms.items() if e % n == 0})
+    es = [{0: Fraction(1)}]
+    for k in range(1, n + 1):
+        acc: dict = {}
+        sign = 1
+        for i in range(1, k + 1):
+            for e, c in _dict_mul(es[k - i], ps[i - 1]).items():
+                v = acc.get(e, Fraction(0)) + sign * c
+                if value_is_zero(v):
+                    acc.pop(e, None)
+                else:
+                    acc[e] = v
+            sign = -sign
+        es.append({e: c / k for e, c in acc.items()})
+    terms: dict = {(0, n): Fraction(1)}
+    for r in range(1, n + 1):
+        for e, c in es[r].items():
+            terms[(e // n, n - r)] = c if r % 2 == 0 else -c
+    return BivariatePolynomial(terms)
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            v = out.get(e, Fraction(0)) + c1 * c2
+            if value_is_zero(v):
+                out.pop(e, None)
+            else:
+                out[e] = v
+    return out
+
+
+def regular_solve_full(f: BivariatePolynomial, budget: int) -> tuple[dict, int | None]:
+    """Newton solve of f(x, y(x)) = 0, y(0) = 0, at a simple root, doing the
+    full work at every step: f_y inverted to the full doubled precision,
+    the iteration stopped at w = budget + 1, and the exactness of the result
+    always decided by evaluating f at it with no truncation.  A reference
+    for ``puiseux._regular_solve``, which must return the same terms and
+    validity order."""
+    w = budget + 1
+    fy = f.derivative_y()
+    kind, _ = classify_value(fy.terms.get((0, 0), Fraction(0)))
+    if kind != "unit":
+        raise AssertionError("regular solve called at a non-simple root")
+    xs = TruncatedSeries.monomial(1)
+    y = TruncatedSeries.zero(1)
+    prec = 1
+    while prec < w:
+        prec = min(2 * prec, w)
+        ycur = y.declare_trunc(prec)
+        num = evaluate_bivariate(f, xs, ycur).truncate(prec)
+        if num.is_zero_mod_trunc:
+            y = ycur
+            continue
+        den = evaluate_bivariate(fy, xs, ycur).truncate(prec)
+        y = (ycur - num * den.inverse(prec)).truncate(prec).declare_trunc(prec)
+    exact = evaluate_bivariate(f, xs, y.declare_trunc(None)).is_exact_zero
+    return dict(y.terms), None if exact else w

@@ -1,6 +1,10 @@
 """CLI behaviour: exit codes, JSON stability, sweeps."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,31 @@ def test_analyze_nonprimitive_reports_stage(capsys):
     assert code == 1
     err = json.loads(out)["error"]
     assert err["stage"] == "semigroup"
+
+
+def test_analyze_smooth_branch_has_empty_polar(capsys):
+    # the general polar of a smooth branch misses the origin
+    code, out = run_cli(capsys, "analyze", "x=t^1; y=t^2")
+    assert code == 0
+    payload = json.loads(out)
+    assert "error" not in payload
+    assert payload["milnor"] == 0
+    polar = payload["polar"]
+    assert polar["type"] == {"branches": [], "intersections": [], "milnor": 0}
+    # Teissier: I(f, polar) = 0 = mu + n - 1
+    assert polar["genericity"]["teissier_identity"] is True
+    assert polar["genericity"]["certified"] is True
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "branchpolar", "analyze", "x=t^2; y=t^3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["semigroup"]["generators"] == [2, 3]
 
 
 def test_json_byte_stability(capsys):

@@ -101,6 +101,14 @@ def test_generic_polar_type_monomial():
     assert rep.polar_type.branches[0].generators == (4, 11)
 
 
+def test_generic_polar_type_smooth_branch_is_empty():
+    # f = y - x^2 - x^3: every polar a f_x + b f_y with b != 0 misses the origin
+    rep = generic_polar_type(PuiseuxBranch.from_terms(1, {2: F(1), 3: F(1)}), samples=2)
+    assert rep.polar_type == EquisingularityType.of([], [])
+    assert rep.polar_type.branch_count == 0 and rep.polar_type.milnor_number() == 0
+    assert rep.milnor == 0 and rep.certified and rep.teissier_ok
+
+
 def test_generic_polar_requires_two_samples():
     with pytest.raises(ValueError):
         generic_polar_type(PuiseuxBranch.from_terms(5, {12: F(1)}), samples=1)

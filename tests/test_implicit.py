@@ -7,14 +7,11 @@ import pytest
 
 from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
 from branchpolar.errors import NonIsolatedSingularityError
-from branchpolar.implicit import (
-    implicitize,
-    implicitize_symmetric,
-    milnor_number,
-    polar,
-)
+from branchpolar.implicit import implicitize, milnor_number, polar
 from branchpolar.poly import BivariatePolynomial as BP
 from branchpolar.series import evaluate_bivariate
+
+from oracles import implicitize_symmetric
 
 
 def test_cusp():

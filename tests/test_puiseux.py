@@ -1,6 +1,7 @@
 """Newton-Puiseux expansion: branch recovery, ramification bookkeeping,
 conjugacy counting, and agreement with the polygon path."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,13 @@ from branchpolar.errors import NotReducedError
 from branchpolar.implicit import implicitize, polar
 from branchpolar.newton import newton_polygon, nondegenerate_type
 from branchpolar.poly import BivariatePolynomial as BP
-from branchpolar.puiseux import puiseux_expand
+from branchpolar.puiseux import _regular_solve, puiseux_expand
 from branchpolar.series import evaluate_bivariate
+from branchpolar.tower import Tower
+
+from oracles import regular_solve_full
+
+SQRT6 = Tower().adjoin("s", (F(-6), F(0), F(1)))
 
 
 def test_cusp_single_branch():
@@ -120,3 +126,74 @@ def test_stratum18_wall_two_branches_I11():
     t = equisingularity_type(p)
     assert [s.generators for s in t.branches] == [(2, 5), (2, 5)]
     assert t.intersections[0][1] == 11
+
+
+def _coefficient(rng, tower):
+    c = F(rng.randint(-9, 9), rng.randint(1, 9))
+    if tower is None:
+        return c
+    return c + tower.generator(1) * F(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+def _nonzero(rng, tower):
+    while True:
+        c = _coefficient(rng, tower)
+        if c != 0:
+            return c
+
+
+def _regular_germ(rng, tower):
+    """f(0, 0) = 0 with f_y(0, 0) a unit; about one germ in three is
+    (y - p(x)) u(x, y), whose solution is the polynomial p."""
+    if rng.random() < 1 / 3:
+        p = {(i, 0): -_coefficient(rng, tower) for i in range(1, rng.randint(2, 12))}
+        p[(0, 1)] = F(1)
+        u = {(i, j): _coefficient(rng, tower) for i in range(3) for j in range(2)}
+        u[(0, 0)] = _nonzero(rng, tower)
+        return BP(p) * BP(u)
+    terms = {(rng.randint(0, 6), rng.randint(0, 3)): _coefficient(rng, tower) for _ in range(6)}
+    terms.pop((0, 0), None)
+    terms[(0, 1)] = _nonzero(rng, tower)
+    return BP(terms)
+
+
+@pytest.mark.parametrize("tower", [None, SQRT6], ids=["Q", "sqrt6"])
+def test_regular_solve_matches_full_precision_oracle(tower):
+    rng = random.Random(5150 if tower is None else 6150)
+    for _ in range(40 if tower is None else 20):
+        f = _regular_germ(rng, tower)
+        budget = rng.randint(4, 14)
+        assert _regular_solve(f, budget) == regular_solve_full(f, budget)
+
+
+@pytest.mark.parametrize("tower", [None, SQRT6], ids=["Q", "sqrt6"])
+@pytest.mark.parametrize(
+    "degree,t_w", [("w-1", False), ("w", True), ("w+1", True), ("w+1", False)]
+)
+def test_regular_solve_polynomial_solution_boundaries(tower, degree, t_w):
+    # f = (y - p(x))(1 + x - 2y): the solution is p, and the solve returns
+    # its terms below t^w = t^(budget+1), exact only when deg p < w
+    budget = 7
+    w = budget + 1
+    d = {"w-1": w - 1, "w": w, "w+1": w + 1}[degree]
+    rng = random.Random(d)
+    p = {i: _nonzero(rng, tower) for i in range(1, d + 1)}
+    if d >= w and not t_w:
+        del p[w]  # refuting exactness then needs the exact evaluation of f
+    f = BP({(0, 1): F(1), **{(i, 0): -c for i, c in p.items()}}) * BP(
+        {(0, 0): F(1), (1, 0): F(1), (0, 1): F(-2)}
+    )
+    terms, validity = _regular_solve(f, budget)
+    assert terms == {i: c for i, c in p.items() if i < w}
+    assert validity == (None if d < w else w)
+    assert (terms, validity) == regular_solve_full(f, budget)
+
+
+def test_explicit_target_exact_polynomial_branch():
+    # y = x + x^2/2 + ... + x^9/9 at target 9: the branch is valid to t^10
+    # and its degree is 9, so the solve certifies it exact
+    p = {i: F(1, i) for i in range(1, 10)}
+    f = BP({(0, 1): F(1), **{(i, 0): -c for i, c in p.items()}})
+    (b,) = puiseux_expand(f, target_order=9)
+    assert b.trunc is None
+    assert dict(b.y_terms) == p
