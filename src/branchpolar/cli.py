@@ -160,6 +160,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _directions(text: str) -> int:
+    """Polar directions per analysis: genericity is certified by agreement
+    across samples, so one sample certifies nothing."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError("genericity certification needs at least 2 directions")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="branchpolar",
@@ -169,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="full pipeline for one branch spec or file")
     a.add_argument("spec", help="branch DSL text or a path to a file containing it")
-    a.add_argument("--directions", type=int, default=3, help="polar directions sampled")
+    a.add_argument("--directions", type=_directions, default=3,
+                   help="polar directions sampled (>= 2)")
     a.add_argument("--truncation", type=int, default=None, help="working order override")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--json", default=None, help="write the report to a file")
@@ -188,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("name")
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--samples", type=int, default=2, help="directions per trial")
+    s.add_argument("--samples", type=_directions, default=2, help="directions per trial (>= 2)")
     s.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: BRANCHPOLAR_WORKERS or 1)")
     s.add_argument("--no-walls", action="store_true", help="skip wall injection")

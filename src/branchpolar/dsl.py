@@ -38,9 +38,6 @@ class BranchSpec:
     branch: PuiseuxBranch
     parameters: dict = field(default_factory=dict)
 
-    def canonical_text(self) -> str:
-        return format_branch(self.branch)
-
 
 class _Scanner:
     def __init__(self, text: str):

@@ -106,7 +106,7 @@ def _self_pair_setup(tower: Tower, base_height: int, j: int):
     cur = tower
     mp = tower.levels[j - 1].minpoly
     alpha = cur.generator(j)
-    coeffs = [TowerElement(cur, cur.lift_rep(c, j - 1)) for c in mp]
+    coeffs = [cur.from_rep(cur.lift_rep(c, j - 1)) for c in mp]
     q = _div_linear(coeffs, alpha)
     if len(q) == 2:  # linear quotient: the second root is explicit
         beta = -q[0]

@@ -111,7 +111,7 @@ def _expand_all(f, base, base_height, budget, max_depth) -> list[PuiseuxBranch]:
         return poly.project(tw)
 
     def compute(tw, poly):
-        states = _expand_germ(poly, tw if tw.height else None, budget, 0, max_depth)
+        states = _expand_germ(poly, tw if tw.height else None, budget, 0, max_depth, True)
         out = []
         for stw, n, terms, valid in states:
             for c in terms.values():
@@ -133,27 +133,42 @@ def _expand_all(f, base, base_height, budget, max_depth) -> list[PuiseuxBranch]:
     return [b for _tw, bs in results for b in bs]
 
 
-def _expand_germ(f, tower, budget, depth, max_depth):
+def _expand_germ(f, tower, budget, depth, max_depth, complete):
     """Recursive side expansion; yields states (tower, N, terms, valid_order)
     where the terms parametrize y(t) with x = t^N correct modulo
-    t^valid_order (None = exact)."""
+    t^valid_order (None = exact).  ``complete`` is False when f is a germ
+    known only modulo x^(budget+1): no state of it is then claimed exact."""
     states = []
     q, f = f.strip_y_power()
     if q >= 2:
         raise NotReducedError("y^2 divides the germ")
+    sides = ()
+    if not (f.is_zero or (0, 0) in f.terms):
+        if f.x_power_divisor() > 0:
+            raise NotReducedError("x-power appeared inside the expansion")
+        sides = newton_polygon(f).sides
     if q == 1:
-        states.append((tower if tower is not None else Tower(), 1, {}, None))
-    if f.is_zero or (0, 0) in f.terms:
-        return states
-    if f.x_power_divisor() > 0:
-        raise NotReducedError("x-power appeared inside the expansion")
-    np = newton_polygon(f)
-    for side in np.sides:
-        states.extend(_expand_side(f, side, tower, budget, depth, max_depth))
+        valid = None if complete else _axis_validity(f, sides, budget)
+        states.append((tower if tower is not None else Tower(), 1, {}, valid))
+    for side in sides:
+        states.extend(_expand_side(f, side, tower, budget, depth, max_depth, complete))
     return states
 
 
-def _expand_side(f, side, tower, budget, depth, max_depth):
+def _axis_validity(f, sides, budget) -> int:
+    """Validity order of the root y = 0 of y*f when y*f is known only
+    modulo x^(budget+1).  The dropped terms add at worst x^(budget+1) to the
+    coefficient of y^0, so the true root is O(x^(budget+1-k)) with
+    k = ord_x f(x, 0), as long as that order exceeds the inclination of
+    every side of f (the y-axis side then stays a side of the true germ)."""
+    k = BivariatePolynomial({(i, 0): c for (i, j), c in f.terms.items() if j == 0}).x_order()
+    valid = budget + 1 - k
+    if any(side.inclination >= valid for side in sides):
+        raise PrecisionError("the y-axis root is undetermined at this truncation")
+    return valid
+
+
+def _expand_side(f, side, tower, budget, depth, max_depth, complete):
     n_l, m_l = side.height, side.width
     r = gcd(n_l, m_l)
     # inclination d = m_l/n_l = qx/e in lowest terms drives the recentering
@@ -175,16 +190,18 @@ def _expand_side(f, side, tower, budget, depth, max_depth):
         # the recentering raises every final validity by q*N_child >= qx, so
         # the child only needs the budget shrunk by qx
         child_budget = max(budget - qx, 4)
-        f2 = _recenter(f, e, qx, root, child_budget)
+        f2, kept_all = _recenter(f, e, qx, root, child_budget)
         if mult == 1:
-            terms, valid = _regular_solve(f2, child_budget)
+            terms, valid = _regular_solve(f2, child_budget, complete and kept_all)
             children = [(tower2 if tower2 is not None else Tower(), 1, terms, valid)]
         else:
             if depth + 1 > max_depth:
                 raise NotReducedError(
                     "repeated side-polynomial root persists beyond the delta bound"
                 )
-            children = _expand_germ(f2, tower2, child_budget, depth + 1, max_depth)
+            children = _expand_germ(
+                f2, tower2, child_budget, depth + 1, max_depth, complete and kept_all
+            )
         for tw3, n_c, terms_c, valid in children:
             root3 = project_value(root, tw3 if tw3.height else None)
             n_total = e * n_c
@@ -199,16 +216,19 @@ def _expand_side(f, side, tower, budget, depth, max_depth):
 
 
 def _recenter(f, e, q, root, budget):
-    """f(x1^e, x1^q (root + y1)) divided by its x1-power, truncated in x1."""
+    """f(x1^e, x1^q (root + y1)) divided by its x1-power, truncated in x1
+    above x1^budget; also returns whether no term was dropped."""
     lvl = min(e * i + q * j for (i, j) in f.terms)
     maxj = f.degree_y()
     rpow = [Fraction(1)]
     for _ in range(maxj):
         rpow.append(rpow[-1] * root)
     terms: dict = {}
+    kept_all = True
     for (i, j), c in f.terms.items():
         base = e * i + q * j - lvl
         if base > budget:
+            kept_all = False
             continue
         for k in range(j + 1):
             key = (base, k)
@@ -219,15 +239,16 @@ def _recenter(f, e, q, root, budget):
                 terms.pop(key, None)
             else:
                 terms[key] = add
-    return BivariatePolynomial(terms)
+    return BivariatePolynomial(terms), kept_all
 
 
-def _regular_solve(f, budget) -> tuple[dict, int | None]:
+def _regular_solve(f, budget, complete) -> tuple[dict, int | None]:
     """Solve f(x, y(x)) = 0 with y(0) = 0 at a simple root: f(0,0) = 0 and
     d f/d y (0,0) a unit.  Newton iteration with precision doubling; the
     quadratic convergence certifies each doubled validity order.  Returns
     the terms below w = budget + 1 and the validity order w (None when
-    those terms are an exact solution).
+    those terms are an exact solution; never when f is not ``complete``,
+    that is, known only modulo x^(budget+1)).
 
     Two precision rules keep the work to what the certificate needs:
 
@@ -258,7 +279,7 @@ def _regular_solve(f, budget) -> tuple[dict, int | None]:
         k = prec - num.min_exponent()
         den = evaluate_bivariate(fy, xs, ycur.truncate(k)).truncate(k)
         y = (ycur - num * den.inverse(k)).truncate(prec).declare_trunc(prec)
-    if w in y.terms:
+    if w in y.terms or not complete:
         return dict(y.truncate(w).terms), w
     exact = evaluate_bivariate(f, xs, y.declare_trunc(None)).is_exact_zero
     return dict(y.terms), None if exact else w

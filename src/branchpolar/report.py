@@ -115,7 +115,9 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline on a branch: semigroup, differential values,
     Zariski invariant, implicit equation, Milnor number, generic polar type
-    with its genericity certificate."""
+    with its genericity certificate.  A failure at any stage, a failed
+    internal cross-check included, ends the report with an ``error`` entry
+    naming the stage and the exception kind."""
     import random
 
     t0 = time.monotonic()
@@ -164,7 +166,14 @@ def analyze(
                 ],
             },
         }
-    except (BranchPolarError, ValueError, ArithmeticError) as exc:
+    except (
+        BranchPolarError,
+        ValueError,
+        ArithmeticError,
+        AssertionError,  # an internal cross-check failed
+        RecursionError,
+        MemoryError,
+    ) as exc:
         payload["error"] = {"stage": stage, "kind": type(exc).__name__, "message": str(exc)}
     payload["timing_seconds"] = round(time.monotonic() - t0, 3) if timing else None
     return AnalysisReport(payload)

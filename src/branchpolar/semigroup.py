@@ -24,12 +24,6 @@ class NumericalSemigroup:
         return self.generators[0]
 
     @property
-    def genus_of_branch(self) -> int:
-        """Number of generators beyond the multiplicity (the branch genus
-        when the generators come from characteristic exponents)."""
-        return len(self.generators) - 1
-
-    @property
     def is_smooth(self) -> bool:
         return self.generators == (1,)
 
@@ -92,6 +86,3 @@ def _representable(v: int, gens: list[int]) -> bool:
             if reach[i - g]:
                 reach[i] = 1
     return bool(reach[v])
-
-
-SMOOTH = semigroup_from_generators([1])

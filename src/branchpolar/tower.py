@@ -1,26 +1,43 @@
 """Dynamic-evaluation towers of algebraic extensions (D5 style).
 
-A tower is an ordered list of levels; level ``k`` adjoins a generator
-satisfying a monic squarefree polynomial over the ring below.  Because the
-defining polynomials are only squarefree (never factored), the quotient is a
-product of fields rather than a field.  Whenever an operation needs to invert
-an element that is a zero divisor, the tower is split along the discovered
-factorization and a :class:`TowerSplit` is raised carrying the component
-towers; the caller re-runs its computation in each component.  This is the
-classical D5 scheme: arithmetic plus zero tests on roots of squarefree
-polynomials, with no polynomial factorization anywhere.
+A tower is an ordered list of levels; level k adjoins a generator a_k with a
+monic squarefree minimal polynomial over the ring below.  The polynomials
+are never factored, so the quotient is a product of fields.  Inverting a
+zero divisor splits the tower along the factorization it reveals: a
+:class:`TowerSplit` carries the component towers, and the caller re-runs its
+computation in each (the classical D5 scheme).
 
-Element representations are nested tuples: a stage-0 element is a
-``Fraction``; a stage-k element is a tuple of stage-(k-1) elements (dense
-coefficients in the k-th generator, reduced modulo its minimal polynomial,
-trailing zeros stripped, so ``()`` is zero).  Representations are canonical:
-an element is ring-zero iff its representation is empty.
+Elements are flat.  With level degrees d_1, ..., d_h a tower has dimension
+D = d_1 * ... * d_h and the monomial basis a_1^e_1 * ... * a_h^e_h
+(e_k < d_k), bottom level first: index e_1 + d_1 e_2 + d_1 d_2 e_3 + ....
+An element is D integer coordinates over one positive denominator, kept
+canonical (gcd(den, *coords) == 1; zero is all zeros over 1), so equality is
+tuple equality and the zero test never splits.  A stage-k element is the
+concatenation of its d_k coefficients in the prefix tower of height k - 1;
+lifting from a prefix tower pads with zeros.
+
+Each tower builds one integer table on first use: every monomial of an
+unreduced product (e_k <= 2 d_k - 2) reduced by the minimal polynomials,
+over one common denominator.  A product is D^2 integer multiplications into
+those monomials, one pass through the table and one gcd.
+
+Inversion is per level: an extended Euclid of the top-level coefficients
+(prefix-tower elements) against the top minimal polynomial, classifying
+leading coefficients one level down.  A proper gcd splits the tower at the
+lowest level where a zero divisor shows, and every level above it is
+re-reduced in each component.
+
+``Level.minpoly`` and ``TowerElement.rep`` keep the nested form for report
+JSON and :func:`compose_element`: a stage-0 representation is a
+``Fraction``, a stage-k one the tuple of its stage-(k-1) coefficients with
+trailing zeros stripped, so ``()`` is zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm, prod
+from typing import Iterable, NamedTuple, Union
 
 Value = Union[Fraction, "TowerElement"]
 
@@ -28,13 +45,9 @@ Value = Union[Fraction, "TowerElement"]
 class TowerSplit(Exception):
     """A zero divisor was met: the tower splits into two components.
 
-    Attributes
-    ----------
-    stage : int
-        1-based level index whose minimal polynomial factored.
-    components : tuple[Tower, Tower]
-        The two component towers; their level-``stage`` minimal polynomials
-        multiply to the original one.
+    ``stage`` is the 1-based level whose minimal polynomial factored;
+    ``components`` are the two component towers, whose level-``stage``
+    minimal polynomials multiply to the original one.
     """
 
     def __init__(self, stage: int, components: tuple["Tower", "Tower"]):
@@ -43,98 +56,61 @@ class TowerSplit(Exception):
         self.components = components
 
 
-class Level:
+class Level(NamedTuple):
     """One extension step: a named generator and its monic minimal polynomial.
 
     ``minpoly`` is a tuple of stage-(k-1) representations of length deg+1
     whose last entry is one.
     """
 
-    __slots__ = ("name", "minpoly")
-
-    def __init__(self, name: str, minpoly: tuple):
-        self.name = name
-        self.minpoly = minpoly
+    name: str
+    minpoly: tuple
 
     @property
     def degree(self) -> int:
         return len(self.minpoly) - 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Level)
-            and self.name == other.name
-            and self.minpoly == other.minpoly
-        )
-
-    def __hash__(self):
-        return hash((self.name, self.minpoly))
-
     def __repr__(self):
         return f"Level({self.name!r}, deg={self.degree})"
 
 
-def _zero(stage: int):
-    return Fraction(0) if stage == 0 else ()
-
-
-def _one(stage: int):
-    one = Fraction(1)
-    for _ in range(stage):
-        one = (one,)
-    return one
-
-
-def _from_rational(q: Fraction, stage: int):
-    if q == 0:
-        return _zero(stage)
-    rep = q
-    for _ in range(stage):
-        rep = (rep,)
-    return rep
-
-
-def _is_zero_rep(rep, stage: int) -> bool:
-    return rep == 0 if stage == 0 else rep == ()
-
-
-def _strip(coeffs: list, stage: int) -> tuple:
-    n = len(coeffs)
-    while n and _is_zero_rep(coeffs[n - 1], stage):
-        n -= 1
-    return tuple(coeffs[:n])
+def _nested(num, den: int, degrees: tuple):
+    """Nested representation of flat coordinates over ``den``."""
+    if not degrees:
+        return Fraction(num[0], den)
+    size = len(num) // degrees[-1]
+    out = [_nested(num[j : j + size], den, degrees[:-1]) for j in range(0, len(num), size)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 class Tower:
-    """An extension tower over the rationals.
-
-    Immutable; all arithmetic is through module functions or
-    :class:`TowerElement`.  ``levels`` is a tuple of :class:`Level`.
+    """An extension tower over the rationals: a tuple of :class:`Level`,
+    of dimension ``dim`` over Q.  Immutable; the prefix tower one level down
+    and the multiplication table are built on first use and kept.
     """
 
-    __slots__ = ("levels",)
+    __slots__ = ("levels", "degrees", "dim", "_parent", "_top_mp", "_table")
 
-    def __init__(self, levels: tuple = ()):
+    def __init__(self, levels: tuple = (), parent: "Tower | None" = None):
         self.levels = tuple(levels)
-
-    # -- basic structure ---------------------------------------------------
+        self.degrees = tuple(lv.degree for lv in self.levels)
+        self.dim = prod(self.degrees)
+        self._parent = parent
+        self._top_mp = None
+        self._table = None
 
     @property
     def height(self) -> int:
         return len(self.levels)
 
     def degree(self) -> int:
-        d = 1
-        for lv in self.levels:
-            d *= lv.degree
-        return d
+        return self.dim
 
     def degree_above(self, stage: int) -> int:
         """Product of level degrees strictly above ``stage`` levels."""
-        d = 1
-        for lv in self.levels[stage:]:
-            d *= lv.degree
-        return d
+        return prod(self.degrees[stage:])
 
     def __eq__(self, other):
         return isinstance(other, Tower) and self.levels == other.levels
@@ -150,25 +126,63 @@ class Tower:
         h = self.height
         return h <= other.height and other.levels[:h] == self.levels
 
-    # -- element constructors ----------------------------------------------
+    def prefix(self, height: int) -> "Tower":
+        """The tower of the lowest ``height`` levels."""
+        tw = self
+        while tw.height > height:
+            if tw._parent is None:
+                tw._parent = Tower(tw.levels[:-1])
+            tw = tw._parent
+        return tw
+
+    def _extend(self, level: Level) -> "Tower":
+        return Tower(self.levels + (level,), self)
+
+    def _top_minpoly(self) -> list["TowerElement"]:
+        """The top level's minimal polynomial over the prefix tower."""
+        if self._top_mp is None:
+            below = self.prefix(self.height - 1)
+            self._top_mp = [below.from_rep(c) for c in self.levels[-1].minpoly]
+        return self._top_mp
 
     def zero(self) -> "TowerElement":
-        return TowerElement(self, _zero(self.height))
+        return TowerElement(self, (0,) * self.dim)
 
     def one(self) -> "TowerElement":
-        return TowerElement(self, _one(self.height))
+        return TowerElement(self, (1,) + (0,) * (self.dim - 1))
 
     def from_rational(self, q) -> "TowerElement":
-        return TowerElement(self, _from_rational(Fraction(q), self.height))
+        q = Fraction(q)
+        return TowerElement(self, (q.numerator,) + (0,) * (self.dim - 1), q.denominator)
 
     def generator(self, stage: int) -> "TowerElement":
         """The generator adjoined at 1-based level ``stage``."""
         if not 1 <= stage <= self.height:
             raise ValueError(f"no level {stage} in {self!r}")
-        rep = (_zero(stage - 1), _one(stage - 1))
-        for _ in range(self.height - stage):
-            rep = (rep,)
-        return TowerElement(self, rep)
+        below = self.prefix(stage - 1)
+        return self.lift(self.prefix(stage)._from_coeffs([below.zero(), below.one()]))
+
+    def from_rep(self, rep) -> "TowerElement":
+        """The element with nested representation ``rep``.  Coefficient
+        lists longer than a level's degree are reduced, so this also
+        projects representations from an ancestor tower of the same height
+        (whose level minimal polynomials are multiples of ours)."""
+        if not self.levels:
+            q = Fraction(rep)
+            return TowerElement(self, (q.numerator,), q.denominator)
+        below = self.prefix(self.height - 1)
+        return self._from_coeffs([below.from_rep(c) for c in rep])
+
+    def _from_coeffs(self, coeffs: list["TowerElement"]) -> "TowerElement":
+        """sum coeffs[j] * a_top^j for prefix-tower elements ``coeffs``,
+        reduced by the top minimal polynomial."""
+        mp = self._top_minpoly()
+        if len(coeffs) >= len(mp):
+            _, coeffs = _monic_divmod(coeffs, mp)
+        den = lcm(*(c.den for c in coeffs))
+        num = [x * (den // c.den) for c in coeffs for x in c.num]
+        num.extend([0] * (self.dim - len(num)))
+        return TowerElement(self, num, den)
 
     def lift_rep(self, rep, from_stage: int):
         """Pad a stage-``from_stage`` representation up to the full height."""
@@ -179,14 +193,13 @@ class Tower:
     def lift(self, v: Value) -> "TowerElement":
         """Coerce a rational or an element of a prefix tower into this one."""
         if isinstance(v, TowerElement):
-            if v.tower is self or v.tower == self:
-                return TowerElement(self, v.rep)
-            if v.tower.is_prefix_of(self):
-                return TowerElement(self, self.lift_rep(v.rep, v.tower.height))
+            tw = v.tower
+            if tw is self:
+                return v
+            if tw.is_prefix_of(self):
+                return TowerElement(self, v.num + (0,) * (self.dim - tw.dim), v.den)
             raise ValueError(f"cannot lift element of {v.tower!r} into {self!r}")
-        return self.from_rational(Fraction(v))
-
-    # -- adjoining ----------------------------------------------------------
+        return self.from_rational(v)
 
     def adjoin(self, name: str, monic_minpoly: Iterable) -> "Tower":
         """Extend by one level; ``monic_minpoly`` is a list of stage-height
@@ -195,127 +208,120 @@ class Tower:
         mp = tuple(monic_minpoly)
         if len(mp) < 3:
             raise ValueError("adjoined minimal polynomial must have degree >= 2")
-        if mp[-1] != _one(self.height):
+        if mp[-1] != self.one().rep:
             raise ValueError("minimal polynomial must be monic")
-        return Tower(self.levels + (Level(name, mp),))
-
-    # -- projection after splits ---------------------------------------------
-
-    def project_rep(self, rep, stage: int | None = None):
-        """Re-reduce a representation from an ancestor tower of the same
-        height (whose level minimal polynomials are multiples of ours)."""
-        if stage is None:
-            stage = self.height
-        if stage == 0:
-            return rep
-        reduced = [self.project_rep(c, stage - 1) for c in rep]
-        return _reduce(self, stage, reduced)
+        return self._extend(Level(name, mp))
 
     def project_value(self, v: Value) -> Value:
-        if isinstance(v, TowerElement):
-            if v.tower.height != self.height:
-                if v.tower.is_prefix_of(self):
-                    return self.lift(v)
-                raise ValueError("projection requires towers of equal height")
-            return TowerElement(self, self.project_rep(v.rep))
-        return v
+        """Map an element of an ancestor tower (a split parent) or of a
+        prefix tower into this one; rationals pass unchanged."""
+        if not isinstance(v, TowerElement) or v.tower is self:
+            return v
+        if v.tower.height != self.height:
+            return self.lift(v)
+        return self.from_rep(v.rep)
+
+    def _mul_table(self):
+        """``(pos, red, q, monos)``: ``monos`` lists the reductions of the
+        unreduced product monomials as elements, bottom level first;
+        ``pos[i]`` is where basis monomial i sits among them, so the product
+        of basis monomials i and j is monomial ``pos[i] + pos[j]``; ``red``
+        pairs every other monomial m with its reduction as (index, integer)
+        pairs over the common denominator ``q``."""
+        if self._table is None:
+            if not self.levels:
+                monos, pos = [self.one()], [0]
+            else:
+                below = self.prefix(self.height - 1)
+                bpos, _, _, bmonos = below._mul_table()
+                mp = self._top_minpoly()
+                d = len(mp) - 1
+                # a_top^k for k <= 2d - 2 as coefficient lists over the prefix
+                powers = []
+                cur = [below.one()] + [below.zero()] * (d - 1)
+                for _ in range(2 * d - 1):
+                    powers.append(cur)
+                    lead = cur[-1]
+                    shifted = [below.zero()] + cur[:-1]
+                    cur = [_sub(low, _mul(lead, m)) for low, m in zip(shifted, mp)]
+                monos = [
+                    self._from_coeffs([_mul(b, c) for c in pw]) for pw in powers for b in bmonos
+                ]
+                pos = [p + len(bmonos) * j for j in range(d) for p in bpos]
+            q = lcm(*(m.den for m in monos))
+            basis = set(pos)
+            red = [
+                (m, [(k, c * (q // x.den)) for k, c in enumerate(x.num) if c])
+                for m, x in enumerate(monos)
+                if m not in basis
+            ]
+            self._table = (pos, red, q, monos)
+        return self._table
 
 
-# -- stage arithmetic on raw representations --------------------------------
+# -- ring arithmetic on elements of one tower -----------------------------------
 
 
-def _add(tw: Tower, stage: int, a, b):
-    if stage == 0:
-        return a + b
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = _add(tw, stage - 1, out[i], c)
-    return _strip(out, stage - 1)
+def _add(a: "TowerElement", b: "TowerElement") -> "TowerElement":
+    da, db = a.den, b.den
+    if da == db:
+        return TowerElement(a.tower, [x + y for x, y in zip(a.num, b.num)], da)
+    return TowerElement(a.tower, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
 
-def _neg(tw: Tower, stage: int, a):
-    if stage == 0:
-        return -a
-    return tuple(_neg(tw, stage - 1, c) for c in a)
+def _sub(a: "TowerElement", b: "TowerElement") -> "TowerElement":
+    da, db = a.den, b.den
+    if da == db:
+        return TowerElement(a.tower, [x - y for x, y in zip(a.num, b.num)], da)
+    return TowerElement(a.tower, [x * db - y * da for x, y in zip(a.num, b.num)], da * db)
 
 
-def _sub(tw: Tower, stage: int, a, b):
-    return _add(tw, stage, a, _neg(tw, stage, b))
+def _mul(a: "TowerElement", b: "TowerElement") -> "TowerElement":
+    tw = a.tower
+    pos, red, q, monos = tw._table or tw._mul_table()
+    nzb = [(pj, y) for pj, y in zip(pos, b.num) if y]
+    acc = [0] * len(monos)
+    for p, x in zip(pos, a.num):
+        if x:
+            for pj, y in nzb:
+                acc[p + pj] += x * y
+    out = [acc[p] * q for p in pos]
+    for m, row in red:
+        s = acc[m]
+        if s:
+            for k, c in row:
+                out[k] += s * c
+    return TowerElement(tw, out, a.den * b.den * q)
 
 
-def _mul_rat(tw: Tower, stage: int, a, q: Fraction):
-    if q == 0:
-        return _zero(stage)
-    if stage == 0:
-        return a * q
-    return tuple(_mul_rat(tw, stage - 1, c, q) for c in a)
-
-
-def _reduce(tw: Tower, stage: int, coeffs: list):
-    """Reduce a dense coefficient list modulo the stage's minimal polynomial
-    (monic, so no inversions are needed)."""
-    mp = tw.levels[stage - 1].minpoly
-    d = len(mp) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, d - 1, -1):
-        lead = coeffs[i]
-        if _is_zero_rep(lead, stage - 1):
-            continue
-        for k in range(d):
-            coeffs[i - d + k] = _sub(
-                tw, stage - 1, coeffs[i - d + k], _mul(tw, stage - 1, lead, mp[k])
-            )
-        coeffs[i] = _zero(stage - 1)
-    return _strip(coeffs[:d] if len(coeffs) > d else coeffs, stage - 1)
-
-
-def _mul(tw: Tower, stage: int, a, b):
-    if stage == 0:
-        return a * b
-    if a == () or b == ():
-        return ()
-    prod = [_zero(stage - 1)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if _is_zero_rep(ca, stage - 1):
-            continue
-        for j, cb in enumerate(b):
-            if _is_zero_rep(cb, stage - 1):
-                continue
-            prod[i + j] = _add(tw, stage - 1, prod[i + j], _mul(tw, stage - 1, ca, cb))
-    return _reduce(tw, stage, prod)
-
-
-def _pow(tw: Tower, stage: int, a, n: int):
-    out = _one(stage)
-    base = a
-    while n:
-        if n & 1:
-            out = _mul(tw, stage, out, base)
-        base = _mul(tw, stage, base, base)
-        n >>= 1
+def _sub_product(s: list, p: list, r: list) -> list:
+    """s - p*r for coefficient lists over one tower (lowest degree first,
+    r not empty)."""
+    out = s + [r[0].tower.zero()] * (len(p) + len(r) - 1 - len(s))
+    for i, a in enumerate(p):
+        for j, b in enumerate(r):
+            out[i + j] = _sub(out[i + j], _mul(a, b))
     return out
 
 
-# -- classification, inversion and splitting --------------------------------
-
-
-def _poly_monic_divmod(tw: Tower, stage: int, num: list, den: list):
-    """Divide coefficient lists at ``stage`` (entries are stage reps) by a
-    monic ``den``; returns (quotient, remainder)."""
+def _monic_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of coefficient lists by a monic ``den``; the
+    remainder has its trailing zeros stripped."""
     num = list(num)
     dd = len(den) - 1
-    q = [_zero(stage)] * max(0, len(num) - dd)
+    quo = [None] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if _is_zero_rep(c, stage):
-            continue
-        q[i - dd] = c
-        for k in range(dd + 1):
-            num[i - dd + k] = _sub(tw, stage, num[i - dd + k], _mul(tw, stage, c, den[k]))
-    r = list(_strip(num, stage))
-    return q, r
+        c = quo[i - dd] = num[i]
+        if not c.is_zero:
+            for k in range(dd):
+                num[i - dd + k] = _sub(num[i - dd + k], _mul(c, den[k]))
+    rem = num[:dd]
+    while rem and rem[-1].is_zero:
+        rem.pop()
+    return quo, rem
+
+
+# -- inversion and splitting -------------------------------------------------------
 
 
 def _split_at(tw: Tower, stage: int, g: list, h: list) -> TowerSplit:
@@ -323,100 +329,90 @@ def _split_at(tw: Tower, stage: int, g: list, h: list) -> TowerSplit:
     monic factors ``g`` and ``h`` and all higher levels re-reduced."""
     components = []
     for fac in (g, h):
-        levels = list(tw.levels[: stage - 1])
-        levels.append(Level(tw.levels[stage - 1].name, tuple(fac)))
-        comp = Tower(tuple(levels))
+        comp = tw.prefix(stage - 1)._extend(
+            Level(tw.levels[stage - 1].name, tuple(c.rep for c in fac))
+        )
         for lv in tw.levels[stage:]:
-            new_mp = tuple(comp.project_rep(c, comp.height) for c in lv.minpoly)
-            comp = Tower(comp.levels + (Level(lv.name, new_mp),))
+            comp = comp._extend(Level(lv.name, tuple(comp.from_rep(c).rep for c in lv.minpoly)))
         components.append(comp)
     return TowerSplit(stage, (components[0], components[1]))
 
 
-def _classify(tw: Tower, stage: int, rep):
-    """Decide whether a stage element is zero or a unit.
-
-    Returns ``("zero", None)`` or ``("unit", inverse_rep)``.  Zero divisors
-    raise :class:`TowerSplit` instead of returning.
-    """
+def _inverse(tw: Tower, stage: int, x: "TowerElement") -> "TowerElement | None":
+    """Inverse of ``x``, an element of the height-``stage`` prefix of
+    ``tw``, or None when x is zero.  Zero divisors raise a
+    :class:`TowerSplit` of ``tw`` instead of returning."""
+    if x.is_zero:
+        return None
     if stage == 0:
-        if rep == 0:
-            return ("zero", None)
-        return ("unit", Fraction(1) / rep)
-    if rep == ():
-        return ("zero", None)
-    mp = list(tw.levels[stage - 1].minpoly)
-    # Extended Euclid tracking s with r = s*rep + t*minpoly.
-    r0, s0 = mp, [_zero(stage - 1)]
-    r1, s1 = list(rep), [_one(stage - 1)]
+        n = x.num[0]
+        return TowerElement(x.tower, (x.den if n > 0 else -x.den,), abs(n))
+    mp = x.tower._top_minpoly()
+    one = mp[-1]
+    below, size = one.tower, one.tower.dim
+    # extended Euclid tracking s with r = s*x + t*minpoly
+    r0, s0 = mp, []
+    r1 = [TowerElement(below, x.num[j : j + size], x.den) for j in range(0, len(x.num), size)]
+    s1 = [one]
     while True:
-        # normalize r1 to be monic, stripping zero leading coefficients
+        # make r1 monic, stripping zero leading coefficients
         while r1:
-            kind, inv = _classify(tw, stage - 1, r1[-1])
-            if kind == "zero":
+            inv = _inverse(tw, stage - 1, r1[-1])
+            if inv is None:
                 r1.pop()
                 continue
-            if inv != _one(stage - 1):
-                r1 = [_mul(tw, stage - 1, c, inv) for c in r1]
-                s1 = [_mul(tw, stage - 1, c, inv) for c in s1]
+            if inv != one:
+                r1 = [_mul(c, inv) for c in r1]
+                s1 = [_mul(c, inv) for c in s1]
             break
         if not r1:
-            g = r0
             break
-        q, r2 = _poly_monic_divmod(tw, stage - 1, r0, r1)
-        s2 = list(s0)
-        # s2 = s0 - q*s1
-        prod = [_zero(stage - 1)] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            if _is_zero_rep(qc, stage - 1):
-                continue
-            for j, sc in enumerate(s1):
-                prod[i + j] = _add(
-                    tw, stage - 1, prod[i + j], _mul(tw, stage - 1, qc, sc)
-                )
-        if len(s2) < len(prod):
-            s2 += [_zero(stage - 1)] * (len(prod) - len(s2))
-        for i in range(len(prod)):
-            s2[i] = _sub(tw, stage - 1, s2[i], prod[i])
-        r0, s0, r1, s1 = r1, s1, list(r2), s2
-    # g is monic (last normalization made r1 monic before it became r0)
-    if len(g) == 1:
-        inv_rep = _reduce(tw, stage, s0) if len(s0) >= 1 else _zero(stage)
-        return ("unit", inv_rep)
-    if len(g) - 1 >= len(mp) - 1:
-        # rep was reduced, so gcd degree < deg(minpoly); this means rep == 0
-        return ("zero", None)
-    h, rem = _poly_monic_divmod(tw, stage - 1, mp, g)
+        quo, r2 = _monic_divmod(r0, r1)
+        r0, s0, r1, s1 = r1, s1, r2, _sub_product(s0, quo, s1)
+    # r0 is the monic gcd of x and the minimal polynomial
+    if len(r0) == 1:
+        return x.tower._from_coeffs(s0)
+    h, rem = _monic_divmod(mp, r0)
     if rem:
         raise AssertionError("gcd does not divide the minimal polynomial")
-    raise _split_at(tw, stage, g, h)
+    raise _split_at(tw, stage, r0, h)
 
 
 class TowerElement:
-    """An element of a :class:`Tower`; immutable, supports ring arithmetic
-    with other elements of the same (or a prefix) tower and with rationals."""
+    """An element of a :class:`Tower`: integer coordinates ``num`` over the
+    positive denominator ``den``, kept canonical.  Immutable; supports ring
+    arithmetic with other elements of the same (or a prefix) tower and with
+    rationals."""
 
-    __slots__ = ("tower", "rep")
+    __slots__ = ("tower", "num", "den")
 
-    def __init__(self, tower: Tower, rep):
+    def __init__(self, tower: Tower, num, den: int = 1):
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
         self.tower = tower
-        self.rep = rep
+        self.num = tuple(num)
+        self.den = den
+
+    @property
+    def rep(self):
+        """The nested representation (see the module docstring)."""
+        return _nested(self.num, self.den, self.tower.degrees)
 
     # -- predicates ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return _is_zero_rep(self.rep, self.tower.height)
+        return not any(self.num)
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return any(self.num)
 
     def classify(self):
         """("zero"|"unit", inverse or None); may raise :class:`TowerSplit`."""
-        kind, inv = _classify(self.tower, self.tower.height, self.rep)
-        if kind == "unit":
-            return kind, TowerElement(self.tower, inv)
-        return kind, None
+        inv = _inverse(self.tower, self.tower.height, self)
+        return ("zero", None) if inv is None else ("unit", inv)
 
     def inverse(self) -> "TowerElement":
         kind, inv = self.classify()
@@ -428,7 +424,7 @@ class TowerElement:
 
     def _coerce(self, other):
         if isinstance(other, TowerElement):
-            if other.tower is self.tower or other.tower == self.tower:
+            if other.tower is self.tower:
                 return self, other
             if other.tower.is_prefix_of(self.tower):
                 return self, self.tower.lift(other)
@@ -445,27 +441,32 @@ class TowerElement:
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return TowerElement(a.tower, _add(a.tower, a.tower.height, a.rep, b.rep))
+        return _add(a, b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement(self.tower, _neg(self.tower, self.tower.height, self.rep))
+        return TowerElement(self.tower, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return TowerElement(a.tower, _sub(a.tower, a.tower.height, a.rep, b.rep))
+        return _sub(a, b)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            q = Fraction(other)
+            return TowerElement(
+                self.tower, [x * q.numerator for x in self.num], self.den * q.denominator
+            )
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
-        return TowerElement(a.tower, _mul(a.tower, a.tower.height, a.rep, b.rep))
+        return _mul(a, b)
 
     __rmul__ = __mul__
 
@@ -476,23 +477,25 @@ class TowerElement:
         return a * b.inverse()
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        return inv * other
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return TowerElement(self.tower, _pow(self.tower, self.tower.height, self.rep, n))
+        out = self.tower.one()
+        base = self
+        while n:
+            if n & 1:
+                out = _mul(out, base)
+            base = _mul(base, base)
+            n >>= 1
+        return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.tower.from_rational(other)
-        if not isinstance(other, TowerElement):
+        a, b = self._coerce(other)
+        if b is NotImplemented:
             return NotImplemented
-        if other.tower is not self.tower and other.tower != self.tower:
-            a, b = self._coerce(other)
-            return a.rep == b.rep
-        return self.rep == other.rep
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # mutable-tower comparisons make hashing a trap
 
@@ -555,19 +558,14 @@ def compose_element(target: Tower, gens: list["TowerElement"], rep, stage: int) 
     ``gens[i]``).  This is how elements move between towers whose levels
     have been reordered or partially identified."""
     out = target.zero()
-    cache: dict[tuple[int, int], TowerElement] = {}
-
-    def power(i: int, e: int) -> TowerElement:
-        key = (i, e)
-        if key not in cache:
-            cache[key] = gens[i] ** e
-        return cache[key]
-
+    powers: dict[tuple[int, int], TowerElement] = {}
     for exps, q in rep_monomials(rep, stage):
         term = target.from_rational(q)
         for i, e in enumerate(exps):
             if e:
-                term = term * power(i, e)
+                if (i, e) not in powers:
+                    powers[i, e] = gens[i] ** e
+                term = term * powers[i, e]
         out = out + term
     return out
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from branchpolar.branch import PuiseuxBranch
 from branchpolar.poly import BivariatePolynomial
 from branchpolar.series import TruncatedSeries, evaluate_bivariate
-from branchpolar.tower import classify_value, value_is_zero
+from branchpolar.tower import Tower, classify_value, value_is_zero
 
 
 def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
@@ -124,3 +124,100 @@ def regular_solve_full(f: BivariatePolynomial, budget: int) -> tuple[dict, int |
         y = (ycur - num * den.inverse(prec)).truncate(prec).declare_trunc(prec)
     exact = evaluate_bivariate(f, xs, y.declare_trunc(None)).is_exact_zero
     return dict(y.terms), None if exact else w
+
+
+# -- nested-Fraction tower arithmetic ------------------------------------------
+#
+# A stage-0 representation is a Fraction; a stage-k one is a tuple of
+# stage-(k-1) representations, the coefficients in the k-th generator reduced
+# modulo its minimal polynomial, trailing zeros stripped (so () is zero).
+# Recursive Fraction arithmetic on these is the reference that the flat
+# integer ``TowerElement`` results are compared with.
+
+
+def nested_zero(stage: int):
+    return Fraction(0) if stage == 0 else ()
+
+
+def nested_one(stage: int):
+    one = Fraction(1)
+    for _ in range(stage):
+        one = (one,)
+    return one
+
+
+def _is_zero(rep, stage: int) -> bool:
+    return rep == 0 if stage == 0 else rep == ()
+
+
+def _strip(coeffs: list, stage: int) -> tuple:
+    n = len(coeffs)
+    while n and _is_zero(coeffs[n - 1], stage):
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def nested_add(tw: Tower, stage: int, a, b):
+    if stage == 0:
+        return a + b
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = nested_add(tw, stage - 1, out[i], c)
+    return _strip(out, stage - 1)
+
+
+def nested_neg(tw: Tower, stage: int, a):
+    if stage == 0:
+        return -a
+    return tuple(nested_neg(tw, stage - 1, c) for c in a)
+
+
+def nested_sub(tw: Tower, stage: int, a, b):
+    return nested_add(tw, stage, a, nested_neg(tw, stage, b))
+
+
+def nested_reduce(tw: Tower, stage: int, coeffs: list):
+    """Reduce a dense coefficient list modulo the stage's monic minimal
+    polynomial."""
+    mp = tw.levels[stage - 1].minpoly
+    d = len(mp) - 1
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, d - 1, -1):
+        lead = coeffs[i]
+        if _is_zero(lead, stage - 1):
+            continue
+        for k in range(d):
+            coeffs[i - d + k] = nested_sub(
+                tw, stage - 1, coeffs[i - d + k], nested_mul(tw, stage - 1, lead, mp[k])
+            )
+        coeffs[i] = nested_zero(stage - 1)
+    return _strip(coeffs[:d] if len(coeffs) > d else coeffs, stage - 1)
+
+
+def nested_mul(tw: Tower, stage: int, a, b):
+    if stage == 0:
+        return a * b
+    if a == () or b == ():
+        return ()
+    prod = [nested_zero(stage - 1)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if _is_zero(ca, stage - 1):
+            continue
+        for j, cb in enumerate(b):
+            if _is_zero(cb, stage - 1):
+                continue
+            prod[i + j] = nested_add(tw, stage - 1, prod[i + j], nested_mul(tw, stage - 1, ca, cb))
+    return nested_reduce(tw, stage, prod)
+
+
+def nested_pow(tw: Tower, stage: int, a, n: int):
+    out = nested_one(stage)
+    base = a
+    while n:
+        if n & 1:
+            out = nested_mul(tw, stage, out, base)
+        base = nested_mul(tw, stage, base, base)
+        n >>= 1
+    return out

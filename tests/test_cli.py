@@ -51,6 +51,32 @@ def test_analyze_nonprimitive_reports_stage(capsys):
     assert err["stage"] == "semigroup"
 
 
+def test_analyze_one_direction_is_a_usage_error(capsys):
+    code, out = run_cli(capsys, "analyze", "x=t^5; y=t^12", "--directions", "1")
+    assert code == 2
+    assert out == ""
+
+
+def test_sweep_one_sample_is_a_usage_error(capsys):
+    code, out = run_cli(capsys, "sweep", "gamma-5-12/11", "--trials", "1", "--samples", "1")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("exc_type", [AssertionError, RecursionError, MemoryError])
+def test_analyze_internal_failure_exits_1(monkeypatch, capsys, exc_type):
+    import branchpolar.report as report
+
+    def fail(*args, **kwargs):
+        raise exc_type("injected")
+
+    monkeypatch.setattr(report, "generic_polar_type", fail)
+    code, out = run_cli(capsys, "analyze", "x=t^5; y=t^12")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err == {"stage": "polar", "kind": exc_type.__name__, "message": "injected"}
+
+
 def test_analyze_smooth_branch_has_empty_polar(capsys):
     # the general polar of a smooth branch misses the origin
     code, out = run_cli(capsys, "analyze", "x=t^1; y=t^2")

@@ -163,7 +163,7 @@ def test_regular_solve_matches_full_precision_oracle(tower):
     for _ in range(40 if tower is None else 20):
         f = _regular_germ(rng, tower)
         budget = rng.randint(4, 14)
-        assert _regular_solve(f, budget) == regular_solve_full(f, budget)
+        assert _regular_solve(f, budget, True) == regular_solve_full(f, budget)
 
 
 @pytest.mark.parametrize("tower", [None, SQRT6], ids=["Q", "sqrt6"])
@@ -183,7 +183,7 @@ def test_regular_solve_polynomial_solution_boundaries(tower, degree, t_w):
     f = BP({(0, 1): F(1), **{(i, 0): -c for i, c in p.items()}}) * BP(
         {(0, 0): F(1), (1, 0): F(1), (0, 1): F(-2)}
     )
-    terms, validity = _regular_solve(f, budget)
+    terms, validity = _regular_solve(f, budget, True)
     assert terms == {i: c for i, c in p.items() if i < w}
     assert validity == (None if d < w else w)
     assert (terms, validity) == regular_solve_full(f, budget)
@@ -197,3 +197,38 @@ def test_explicit_target_exact_polynomial_branch():
     (b,) = puiseux_expand(f, target_order=9)
     assert b.trunc is None
     assert dict(b.y_terms) == p
+
+
+@pytest.mark.parametrize(
+    "degree,target,valid", [(6, None, 6), (10, 9, 10)], ids=["default-target", "target-9"]
+)
+def test_recentered_truncation_is_never_claimed_exact(degree, target, valid):
+    # y = x + x^2/2 + ... + x^degree/degree: recentering drops the top term
+    # above the child budget, so the solution of the truncated germ is a
+    # polynomial that is not the branch; it must come back truncated
+    p = {i: F(1, i) for i in range(1, degree + 1)}
+    f = BP({(0, 1): F(1), **{(i, 0): -c for i, c in p.items()}})
+    (b,) = puiseux_expand(f, target_order=target)
+    assert b.trunc == valid
+    assert dict(b.y_terms) == {i: c for i, c in p.items() if i < valid}
+
+
+def test_truncated_solution_with_zero_top_term_is_not_exact():
+    # a regular germ known only modulo x^(budget+1) whose solution has no
+    # t^w term: the exact evaluation would certify the truncated germ only
+    f = BP({(0, 1): F(1), (1, 0): F(-1)})
+    assert _regular_solve(f, 7, True) == ({1: F(1)}, None)
+    assert _regular_solve(f, 7, False) == ({1: F(1)}, 8)
+
+
+def test_recentered_y_axis_root_is_never_claimed_exact():
+    # (y - x)^2 - x^3 (y - x) - x^14 recenters at the double root y = x to
+    # y1^2 - x^2 y1 - x^12; at target 8 the x^12 term is dropped, leaving
+    # y1 (y1 - x^2).  The root y1 = 0 of the truncated germ stands for the
+    # true root y1 = -x^10 + ..., so it holds only to t^(7 + 1 - 2) there
+    x, y = BP({(1, 0): F(1)}), BP({(0, 1): F(1)})
+    d = y - x
+    f = d * d - BP({(3, 0): F(1)}) * d - BP({(14, 0): F(1)})
+    axis, other = puiseux_expand(f, target_order=8)
+    assert (dict(axis.y_terms), axis.trunc) == ({1: F(1)}, 7)
+    assert (dict(other.y_terms), other.trunc) == ({1: F(1), 3: F(1)}, 9)

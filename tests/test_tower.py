@@ -1,10 +1,11 @@
 """Tower arithmetic, D5 splitting, and the squarefree/adjoin operations."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from branchpolar.tower import Tower, TowerSplit, over_components
+from branchpolar.tower import Tower, TowerElement, TowerSplit, over_components
 from branchpolar.unipoly import (
     is_squarefree,
     ucyclotomic,
@@ -14,6 +15,8 @@ from branchpolar.unipoly import (
     umul,
     uyun,
 )
+
+from oracles import nested_add, nested_mul, nested_one, nested_pow, nested_sub
 
 SQRT2 = Tower().adjoin("a", (F(-2), F(0), F(1)))
 
@@ -159,3 +162,91 @@ def test_gcd_and_exact_div():
     g = ugcd(a, b)
     assert g == [F(1), F(1)]
     assert uexact_div(a, g) == [F(-2), F(1)]
+
+
+# -- flat arithmetic against the nested-Fraction oracle ----------------------------
+
+
+def _sqrt6():
+    return Tower().adjoin("s", (F(-6), F(0), F(1)))
+
+
+def _wall_tower():
+    # r1^2 = 6, r2^2 = (67/336) r1: a non-integral upper level, as on the
+    # strata walls
+    t1 = _sqrt6()
+    r1 = t1.generator(1)
+    return t1.adjoin("r2", ((r1 * F(-67, 336)).rep, t1.zero().rep, t1.one().rep))
+
+
+def _degree8_tower():
+    # r3^2 = r2 r3 + r1 + 1/5 over the wall tower
+    t2 = _wall_tower()
+    r1, r2 = t2.generator(1), t2.generator(2)
+    return t2.adjoin("r3", ((-(r1 + F(1, 5))).rep, (-r2).rep, t2.one().rep))
+
+
+def _split_components():
+    # Q[e]/(e^2 - e) under c^2 = e + 2, split by inverting e
+    te = Tower().adjoin("e", (F(0), F(-1), F(1)))
+    e = te.generator(1)
+    tec = te.adjoin("c", ((-(e + 2)).rep, te.zero().rep, te.one().rep))
+    with pytest.raises(TowerSplit) as exc:
+        tec.lift(e).inverse()
+    return exc.value.components
+
+
+def _random_element(rng, tw):
+    if rng.random() < 0.1:
+        return tw.zero()
+    num = [rng.randint(-30, 30) if rng.random() < 0.8 else 0 for _ in range(tw.dim)]
+    return TowerElement(tw, num, rng.randint(1, 40))
+
+
+TOWERS = {
+    "sqrt6": lambda: [_sqrt6()],
+    "wall-height-2": lambda: [_wall_tower()],
+    "height-3-degree-8": lambda: [_degree8_tower()],
+    "split-components": _split_components,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_flat_arithmetic_matches_nested_oracle(rng, name):
+    for tw in TOWERS[name]():
+        h = tw.height
+        elems = [_random_element(rng, tw) for _ in range(8)]
+        for x in elems:
+            for y in elems:
+                assert (x + y).rep == nested_add(tw, h, x.rep, y.rep)
+                assert (x - y).rep == nested_sub(tw, h, x.rep, y.rep)
+                assert (x * y).rep == nested_mul(tw, h, x.rep, y.rep)
+            for n in range(5):
+                assert (x ** n).rep == nested_pow(tw, h, x.rep, n)
+            q = F(rng.randint(-9, 9), rng.randint(1, 9))
+            assert (x * q).rep == nested_mul(tw, h, x.rep, tw.from_rational(q).rep)
+            if not x.is_zero:
+                assert nested_mul(tw, h, x.rep, x.inverse().rep) == nested_one(h)
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_flat_elements_are_canonical(rng, name):
+    for tw in TOWERS[name]():
+        elems = [_random_element(rng, tw) for _ in range(8)]
+        elems += [x * y for x in elems[:4] for y in elems[4:]]
+        for x in elems:
+            assert x.den > 0 and gcd(x.den, *x.num) == 1
+            assert len(x.num) == tw.dim
+            assert x.is_zero == (x.rep == ()) == (x.num == (0,) * tw.dim and x.den == 1)
+            back = tw.from_rep(x.rep)
+            assert (back.num, back.den) == (x.num, x.den)
+        assert (tw.zero().num, tw.zero().den) == ((0,) * tw.dim, 1)
+
+
+def test_lift_from_prefix_pads_with_zeros():
+    t3 = _degree8_tower()
+    t1 = t3.prefix(1)
+    x = TowerElement(t1, (3, -4), 7)
+    lifted = t3.lift(x)
+    assert (lifted.num, lifted.den) == ((3, -4) + (0,) * 6, 7)
+    assert lifted == x and lifted * t3.generator(3) == t3.generator(3) * x
