@@ -1,6 +1,6 @@
 """From a parametrized branch to the equisingularity type of its polar.
 
-The pipeline: implicitize (exact t-resultant), form a f_x + b f_y, read the
+The pipeline: implicitize (exact, by power sums), form a f_x + b f_y, read the
 Newton polygon, and either use polygon combinatorics (non-degenerate case)
 or run the full Newton-Puiseux factorization.  The <5,12> strata all give
 one answer each except the last; its walls are shown explicitly.

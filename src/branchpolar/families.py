@@ -48,6 +48,9 @@ class BranchFamily:
     conditions: tuple[tuple[str, Callable[[dict], bool]], ...] = ()
     walls: tuple[dict, ...] = ()
     sampler: Callable[[random.Random], dict] | None = None
+    # predicates for the hyperplanes holding the walls: random draws avoid them,
+    # explicit parameters may lie on them
+    wall_loci: tuple[Callable[[dict], bool], ...] = ()
 
     def validate(self, params: dict) -> None:
         for label, cond in self.conditions:
@@ -66,9 +69,10 @@ class BranchFamily:
                 params = {p: _rand_rational(rng) for p in self.parameters}
             try:
                 self.validate(params)
-                return params
             except FamilyError:
                 continue
+            if not any(on_wall(params) for on_wall in self.wall_loci):
+                return params
         raise FamilyError(f"{self.name}: could not sample admissible parameters")
 
     def __reduce__(self):
@@ -146,6 +150,7 @@ _GAMMA_18_WALLS = (
     {"c": Fraction(-5, 4), "d": Fraction(-5, 16), "e": Fraction(1)},
     {"c": Fraction(1), "d": Fraction(3, 5), "e": Fraction(2)},
 )
+_GAMMA_18_WALL_LOCI = (lambda p: p["c"] == Fraction(-5, 4), lambda p: p["c"] == 1)
 
 
 def gamma_5_12(row: int) -> BranchFamily:
@@ -161,6 +166,7 @@ def gamma_5_12(row: int) -> BranchFamily:
         builder=build,
         conditions=_GAMMA_5_12_CONDITIONS.get(row, ()),
         walls=_GAMMA_18_WALLS if row == 18 else (),
+        wall_loci=_GAMMA_18_WALL_LOCI if row == 18 else (),
     )
 
 

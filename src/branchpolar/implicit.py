@@ -1,11 +1,20 @@
 """From parametrization to implicit equation, polar curves, Milnor numbers.
 
-Implicitization eliminates the parameter by a t-resultant,
+The implicit equation of x = t^n, y = y(t) is the characteristic polynomial
 
-    f(x, y) = Res_t(t^n - x, y - y(t)),
+    f(x, y) = det(y - M) = prod_l (y - y(eps^l t)),    eps^n = 1,
 
-which is exact because normal-form parametrizations are polynomial; the
-result is the monic degree-n Weierstrass polynomial vanishing on the branch.
+of multiplication M by y(t) on Q[x][t]/(t^n - x).  Its coefficients come
+from the power sums of the conjugates by Newton's identities, with no roots
+of unity: sum_l y(eps^l t)^k keeps exactly the exponents of y(t)^k divisible
+by n.  This is exact because normal-form parametrizations are polynomial;
+the result is the monic degree-n Weierstrass polynomial vanishing on the
+branch, and that vanishing is checked.
+
+The Milnor number mu = I_0(f_x, f_y) is read off one resultant: when the
+y-leading coefficient of f is constant, ord_x Res_y(f_x, f_y) is the sum of
+the intersection numbers I_p(f_x, f_y) over the points p of the line x = 0
+(Casas-Alvero, *Singularities of Plane Curves*, 2000, ch. 1-2).
 """
 
 from __future__ import annotations
@@ -15,9 +24,10 @@ from fractions import Fraction
 
 from .branch import PuiseuxBranch
 from .errors import NonIsolatedSingularityError
-from .poly import BivariatePolynomial, prs_resultant, resultant_y
-from .series import evaluate_bivariate
-from .tower import Value, invert_value, value_is_zero
+from .poly import BivariatePolynomial, resultant_y
+from .series import TruncatedSeries, evaluate_bivariate
+from .tower import Value, value_is_zero
+from .unipoly import ugcd
 
 
 def implicitize(b: PuiseuxBranch) -> BivariatePolynomial:
@@ -30,23 +40,27 @@ def implicitize(b: PuiseuxBranch) -> BivariatePolynomial:
     if b.trunc is not None:
         raise ValueError("implicitization needs an exact polynomial parametrization")
     n = b.n
-    # A = t^n - x, B = y - y(t) as polynomials in t over QQ[x,y] (or tower)
-    A = [BivariatePolynomial.zero()] * (n + 1)
-    A[0] = BivariatePolynomial.monomial(1, 0, Fraction(-1))
-    A[n] = BivariatePolynomial.constant(Fraction(1))
-    deg_t = max((e for e, _ in b.y_terms), default=0)
-    B = [BivariatePolynomial.zero()] * (deg_t + 1)
-    B[0] = BivariatePolynomial.monomial(0, 1)
-    for e, c in b.y_terms:
-        B[e] = B[e] + BivariatePolynomial.constant(-c)
-    f = prs_resultant(A, B)
-    # normalize to be monic in y (the resultant is so up to a unit constant)
-    lead = f.coefficient_of_y(n)
-    if lead.support() != [(0, 0)]:
-        raise AssertionError("implicitization did not produce a Weierstrass polynomial")
-    lc = lead.terms[(0, 0)]
-    if not (isinstance(lc, Fraction) and lc == 1):
-        f = f * BivariatePolynomial.constant(invert_value(lc))
+    y = b.y_series(None)
+    yk = TruncatedSeries.constant(Fraction(1))
+    # power sums p_k = n * sum_{n | e} [t^e] y(t)^k x^(e/n) of the conjugates
+    p = []
+    for _ in range(n):
+        yk = yk * y
+        p.append(
+            BivariatePolynomial({(e // n, 0): n * c for e, c in yk.terms.items() if e % n == 0})
+        )
+    # Newton's identities: k e_k = sum_{i=1}^k (-1)^(i-1) e_(k-i) p_i
+    es = [BivariatePolynomial.one()]
+    for k in range(1, n + 1):
+        s = BivariatePolynomial.zero()
+        for i in range(1, k + 1):
+            term = es[k - i] * p[i - 1]
+            s = s + term if i % 2 else s - term
+        es.append(s.scale(Fraction(1, k)))
+    # f = prod_l (y - y_l) = sum_r (-1)^r e_r y^(n-r)
+    f = BivariatePolynomial(
+        {(i, n - r): -c if r % 2 else c for r, e in enumerate(es) for (i, _), c in e.terms.items()}
+    )
     _check_weierstrass(f, b)
     return f
 
@@ -78,50 +92,53 @@ def polar(f: BivariatePolynomial, a: Value, b: Value) -> BivariatePolynomial:
     return f.derivative_x() * BivariatePolynomial.constant(a) + f.derivative_y() * BivariatePolynomial.constant(b)
 
 
-def milnor_number(f: BivariatePolynomial, rng: random.Random | None = None) -> int:
-    """mu = ord_x Res_y(f_x, f_y) after random shears, certified by
-    agreement of two independent shear samples.
+def _origin_alone_on_y_axis(gx: BivariatePolynomial, gy: BivariatePolynomial) -> bool:
+    """True iff y = 0 is the only common root of gx(0, y) and gy(0, y), that
+    is, their gcd is a power of y (gcd(0, p) = p)."""
+    on_axis = ([g.terms.get((0, j), Fraction(0)) for j in range(g.degree_y() + 1)] for g in (gx, gy))
+    h = ugcd(*on_axis)
+    return bool(h) and all(value_is_zero(c) for c in h[:-1])
 
-    The shear y -> y + rho x keeps the intersection multiplicity and makes
-    the configuration generic; when the y-leading coefficient of f is not
-    constant an additional x -> x + sigma y substitution first makes f
-    y-general so that the resultant order counts only the origin.
+
+def milnor_number(f: BivariatePolynomial, rng: random.Random | None = None) -> int:
+    """mu = ord_x Res_y(g_x, g_y) for g = f, or for a shear
+    g = f(x + sigma y, y) when f itself does not qualify.
+
+    With lc_y(g) constant, ord_x Res_y(g_x, g_y) is the sum of the local
+    intersection numbers I_p(g_x, g_y) over the points p on the line x = 0.
+    The locality condition -- y = 0 is the only common root of g_x(0, y)
+    and g_y(0, y), decided exactly by a gcd -- leaves p = 0 alone in that
+    sum, and I_0(g_x, g_y) = mu.  Both conditions are met by f or by all
+    but finitely many shears; a germ that fails them for every shear tried
+    (f_x and f_y share a component meeting every line through the origin)
+    raises NonIsolatedSingularityError, as does a resultant that vanishes
+    identically.
+
+    Shears y -> y + rho x are not needed: they fix the line x = 0 and
+    therefore give the same sum of intersection numbers for every rho, so
+    agreement between two of them certified nothing the locality check
+    does not.
     """
     if rng is None:
         rng = random.Random(20260810)
-    g0 = f
-    lead = g0.coefficient_of_y(g0.degree_y())
-    tries = 0
-    while lead.support() != [(0, 0)]:
+    g = f
+    for _ in range(6):
+        if g.coefficient_of_y(g.degree_y()).support() == [(0, 0)]:
+            if g.degree_y() <= 1:
+                return 0  # g = c y + b(x) with c constant: no critical point
+            gx, gy = g.derivative_x(), g.derivative_y()
+            if _origin_alone_on_y_axis(gx, gy):
+                break
         sigma = Fraction(rng.randint(1, 100), rng.randint(1, 100))
-        g0 = f.shift_x(sigma)
-        lead = g0.coefficient_of_y(g0.degree_y())
-        tries += 1
-        if tries > 5:
-            raise NonIsolatedSingularityError("cannot make f y-general by shearing")
-
-    orders = []
-    for _ in range(2):
-        rho = Fraction(rng.randint(1, 100), rng.randint(1, 100))
-        if rng.randint(0, 1):
-            rho = -rho
-        g = g0.shift_y(rho)
-        gx, gy = g.derivative_x(), g.derivative_y()
-        if gx.is_zero or gy.is_zero:
-            return 0
-        if gy.degree_y() <= 0 and gx.degree_y() <= 0:
-            return 0
-        res = resultant_y(gx, gy)
-        if res.is_zero:
-            orders.append(None)
-        else:
-            orders.append(res.x_order())
-    if orders[0] is None and orders[1] is None:
+        g = f.shift_x(sigma)
+    else:
         raise NonIsolatedSingularityError(
-            "Res_y(f_x, f_y) vanishes identically for two shears"
+            "no shear x -> x + sigma y makes f y-general with the origin its "
+            "only critical point on x = 0"
         )
-    if orders[0] != orders[1]:
-        raise NonIsolatedSingularityError(
-            f"shear orders disagree: {orders} (degenerate sampling)"
-        )
-    return orders[0]
+    if gx.is_zero:  # g = g(y) with g'(0) = 0: the line y = 0 is critical
+        raise NonIsolatedSingularityError("f_x vanishes identically")
+    res = resultant_y(gx, gy)
+    if res.is_zero:
+        raise NonIsolatedSingularityError("Res_y(f_x, f_y) vanishes identically")
+    return res.x_order()

@@ -2,20 +2,20 @@
 
 A :class:`BivariatePolynomial` is a sparse support-indexed polynomial in
 ``x, y`` whose coefficients are rationals or tower elements; no stored
-coefficient is ring-zero.  A univariate polynomial in a main variable (``y``
-for ``resultant_y``, the parameter ``t`` for implicitization) is a dense list
-of coefficients in x, and the resultant is computed by the subresultant PRS
-of Brown, which keeps intermediate coefficients at subresultant size instead
-of letting pseudo-remainders blow up.  The PRS needs an integral domain with
-exact division, and runs over one of two coefficient rings:
+coefficient is ring-zero.  A univariate polynomial in the main variable
+``y`` is a dense list of coefficients in x, and the resultant is computed by
+the subresultant PRS of Brown, which keeps intermediate coefficients at
+subresultant size instead of letting pseudo-remainders blow up.  The PRS
+needs an integral domain with exact division, and runs over one of two
+coefficient rings:
 
 * :class:`ZX`, dense integer polynomials in x.  ``resultant_y`` picks it
   when every coefficient of both inputs is a ``Fraction``: each input is
   scaled to a primitive integer polynomial, the PRS divides exactly in
   Z[x] without any ``Fraction`` arithmetic, and the scales are divided back
   out of the resultant.
-* :class:`BivariatePolynomial` itself, for everything else: tower-valued
-  inputs to ``resultant_y``, implicitization and ``y_gcd_degree``.
+* :class:`BivariatePolynomial` itself, for the rest: tower-valued inputs to
+  ``resultant_y``, and ``y_gcd_degree``.
 """
 
 from __future__ import annotations
@@ -197,23 +197,6 @@ class BivariatePolynomial:
         return BivariatePolynomial(
             {(i, j - 1): j * c for (i, j), c in self.terms.items() if j}
         )
-
-    def shift_y(self, rho: Value) -> "BivariatePolynomial":
-        """Substitute y -> y + rho*x."""
-        from math import comb
-
-        terms: dict = {}
-        for (i, j), c in self.terms.items():
-            for k in range(j + 1):
-                key = (i + j - k, k)
-                add = c * (comb(j, k) * rho ** (j - k))
-                if key in terms:
-                    add = terms[key] + add
-                if value_is_zero(add):
-                    terms.pop(key, None)
-                else:
-                    terms[key] = add
-        return BivariatePolynomial(terms)
 
     def shift_x(self, sigma: Value) -> "BivariatePolynomial":
         """Substitute x -> x + sigma*y."""

@@ -141,6 +141,10 @@ def _expand_germ(f, tower, budget, depth, max_depth, complete):
     states = []
     q, f = f.strip_y_power()
     if q >= 2:
+        if not complete:
+            # puiseux_expand certified f reduced: the truncation dropped the
+            # terms that keep y^2 from dividing the germ
+            raise PrecisionError("y^2 divides the truncated germ")
         raise NotReducedError("y^2 divides the germ")
     sides = ()
     if not (f.is_zero or (0, 0) in f.terms):

@@ -125,15 +125,17 @@ def analyze(
     payload: dict = {
         "input": {
             "source": spec.source,
-            "canonical": format_branch(b),
+            "canonical": None,
             "parameters": {k: str(v) for k, v in sorted(spec.parameters.items())},
             "branch": encode_branch(b),
         },
         "seed": seed,
         "options": {"directions": directions, "truncation": truncation},
     }
-    stage = "semigroup"
+    stage = "input"
     try:
+        payload["input"]["canonical"] = format_branch(b)  # rational branches only
+        stage = "semigroup"
         sg = semigroup_of_branch(b)
         payload["semigroup"] = encode_semigroup(sg)
         stage = "differential_values"

@@ -1,12 +1,14 @@
 """Independent reference implementations that tests compare the library
 against."""
 
+import random
 from fractions import Fraction
 
 from branchpolar.branch import PuiseuxBranch
-from branchpolar.poly import BivariatePolynomial
+from branchpolar.errors import NonIsolatedSingularityError
+from branchpolar.poly import BivariatePolynomial, prs_resultant, resultant_y
 from branchpolar.series import TruncatedSeries, evaluate_bivariate
-from branchpolar.tower import Tower, classify_value, value_is_zero
+from branchpolar.tower import Tower, classify_value, invert_value
 
 
 def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
@@ -48,54 +50,76 @@ def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> Biv
     return det if sign == 1 else -det
 
 
-def implicitize_symmetric(b: PuiseuxBranch) -> BivariatePolynomial:
-    """Implicitization through elementary symmetric functions of the
-    conjugates y(eps^l t) via power sums and Newton's identities; an
-    independent route kept as an oracle for the t-resultant.  No roots of
-    unity are needed: power sums of the conjugates keep exactly the
-    exponents of y(t)^k divisible by n."""
+def implicitize_resultant(b: PuiseuxBranch) -> BivariatePolynomial:
+    """Implicitization as the t-resultant Res_t(t^n - x, y - y(t)) by a
+    subresultant PRS over Q[x, y] coefficients, normalized to be monic in
+    y; an independent route kept as an oracle for the power sums of
+    ``implicit.implicitize``."""
     if b.trunc is not None:
         raise ValueError("implicitization needs an exact polynomial parametrization")
     n = b.n
-    ys = b.y_series(None)
-    ypows = [TruncatedSeries.constant(Fraction(1))]
-    for _ in range(n):
-        ypows.append(ypows[-1] * ys)
-    # p_k(t) = sum_l y(eps^l t)^k keeps exactly the exponents divisible by n
-    ps = []
-    for k in range(1, n + 1):
-        ps.append({e: n * c for e, c in ypows[k].terms.items() if e % n == 0})
-    es = [{0: Fraction(1)}]
-    for k in range(1, n + 1):
-        acc: dict = {}
-        sign = 1
-        for i in range(1, k + 1):
-            for e, c in _dict_mul(es[k - i], ps[i - 1]).items():
-                v = acc.get(e, Fraction(0)) + sign * c
-                if value_is_zero(v):
-                    acc.pop(e, None)
-                else:
-                    acc[e] = v
-            sign = -sign
-        es.append({e: c / k for e, c in acc.items()})
-    terms: dict = {(0, n): Fraction(1)}
-    for r in range(1, n + 1):
-        for e, c in es[r].items():
-            terms[(e // n, n - r)] = c if r % 2 == 0 else -c
-    return BivariatePolynomial(terms)
+    # A = t^n - x, B = y - y(t) as polynomials in t over Q[x, y] (or a tower)
+    A = [BivariatePolynomial.zero()] * (n + 1)
+    A[0] = BivariatePolynomial.monomial(1, 0, Fraction(-1))
+    A[n] = BivariatePolynomial.one()
+    deg_t = max((e for e, _ in b.y_terms), default=0)
+    B = [BivariatePolynomial.zero()] * (deg_t + 1)
+    B[0] = BivariatePolynomial.monomial(0, 1)
+    for e, c in b.y_terms:
+        B[e] = B[e] + BivariatePolynomial.constant(-c)
+    f = prs_resultant(A, B)
+    lead = f.coefficient_of_y(n)
+    if lead.support() != [(0, 0)]:
+        raise AssertionError("the t-resultant is not a Weierstrass polynomial")
+    return f * BivariatePolynomial.constant(invert_value(lead.terms[(0, 0)]))
 
 
-def _dict_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            v = out.get(e, Fraction(0)) + c1 * c2
-            if value_is_zero(v):
-                out.pop(e, None)
-            else:
-                out[e] = v
+def shift_y(f: BivariatePolynomial, rho) -> BivariatePolynomial:
+    """f(x, y + rho x)."""
+    y_sheared = BivariatePolynomial({(0, 1): Fraction(1), (1, 0): rho})
+    out = BivariatePolynomial.zero()
+    for (i, j), c in f.terms.items():
+        out = out + BivariatePolynomial.monomial(i, 0, c) * y_sheared**j
     return out
+
+
+def milnor_number_two_shears(f: BivariatePolynomial, rng: random.Random | None = None) -> int:
+    """mu = ord_x Res_y(g_x, g_y) for g = f(x + sigma y, y + rho x), made
+    y-general by random sigma and certified by agreement of two random
+    rho; an independent route kept as an oracle for
+    ``implicit.milnor_number``.  The two rho give the same sum over the
+    points of x = 0, so a germ with another critical point on that line gets
+    a wrong answer here."""
+    if rng is None:
+        rng = random.Random(20260810)
+    g0 = f
+    lead = g0.coefficient_of_y(g0.degree_y())
+    tries = 0
+    while lead.support() != [(0, 0)]:
+        sigma = Fraction(rng.randint(1, 100), rng.randint(1, 100))
+        g0 = f.shift_x(sigma)
+        lead = g0.coefficient_of_y(g0.degree_y())
+        tries += 1
+        if tries > 5:
+            raise NonIsolatedSingularityError("cannot make f y-general by shearing")
+    orders = []
+    for _ in range(2):
+        rho = Fraction(rng.randint(1, 100), rng.randint(1, 100))
+        if rng.randint(0, 1):
+            rho = -rho
+        g = shift_y(g0, rho)
+        gx, gy = g.derivative_x(), g.derivative_y()
+        if gx.is_zero or gy.is_zero:
+            return 0
+        if gy.degree_y() <= 0 and gx.degree_y() <= 0:
+            return 0
+        res = resultant_y(gx, gy)
+        orders.append(None if res.is_zero else res.x_order())
+    if orders[0] is None and orders[1] is None:
+        raise NonIsolatedSingularityError("Res_y(f_x, f_y) vanishes identically for two shears")
+    if orders[0] != orders[1]:
+        raise NonIsolatedSingularityError(f"shear orders disagree: {orders}")
+    return orders[0]
 
 
 def regular_solve_full(f: BivariatePolynomial, budget: int) -> tuple[dict, int | None]:

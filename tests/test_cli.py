@@ -77,6 +77,19 @@ def test_analyze_internal_failure_exits_1(monkeypatch, capsys, exc_type):
     assert err == {"stage": "polar", "kind": exc_type.__name__, "message": "injected"}
 
 
+def test_analyze_tower_branch_reports_input_stage():
+    # a branch on a sqrt6 wall has no DSL text: an error entry, no traceback
+    from branchpolar.dsl import BranchSpec
+    from branchpolar.families import mult4_g1_wall
+    from branchpolar.report import analyze
+
+    payload = json.loads(analyze(BranchSpec("sqrt6 wall", mult4_g1_wall(29, 13))).to_json())
+    assert payload["error"]["stage"] == "input"
+    assert payload["error"]["kind"] == "ValueError"
+    assert payload["input"]["canonical"] is None
+    assert payload["input"]["branch"]["n"] == 4
+
+
 def test_analyze_smooth_branch_has_empty_polar(capsys):
     # the general polar of a smooth branch misses the origin
     code, out = run_cli(capsys, "analyze", "x=t^1; y=t^2")

@@ -164,6 +164,15 @@ def test_sweep_stratum_18_walls_show_types():
     assert rep.groups[0].count > sum(g.count for g in rep.groups[1:])
 
 
+def test_sweep_stratum_18_draws_keep_the_generic_majority():
+    # this seed drew c = 1, d = 5, a point of the c = 1 wall, which left the
+    # generic type without its strict majority among seven trials
+    rep = stratum_sweep(gamma_5_12(18), 7, seed=912018)
+    assert not rep.errors
+    # the four draws share the generic type; each of the three walls has its own
+    assert [g.count for g in rep.groups] == [4, 1, 1, 1]
+
+
 def test_sweep_deterministic_and_mapper_independent():
     r1 = stratum_sweep(gamma_5_12(10), 4, seed=5)
     r2 = stratum_sweep(gamma_5_12(10), 4, seed=5)
@@ -211,14 +220,14 @@ def test_mult4_deep_wall_contact_verified_by_two_milnor_routes():
     # instance of the same wall does match the printed formula (see the
     # acceptance suite).
     from branchpolar.families import SQRT6
-    from oracles import sylvester_resultant_y
+    from oracles import shift_y, sylvester_resultant_y
 
     terms = {29: F(1), 35: F(1), 38: F(4, 9) * SQRT6, 50: F(-4, 81) * SQRT6}
     b = PuiseuxBranch.from_terms(4, terms)
     f = implicitize(b)
     p = polar(f, F(2), F(3))
     mu_prs = milnor_number(p)
-    sheared = p.shift_y(F(1, 3))
+    sheared = shift_y(p, F(1, 3))
     mu_sylvester = sylvester_resultant_y(
         sheared.derivative_x(), sheared.derivative_y()
     ).x_order()

@@ -36,6 +36,24 @@ def test_family_sampling_respects_conditions(rng):
         fam.validate(params)
 
 
+def test_row18_draws_avoid_its_walls():
+    # draws on the wall hyperplanes c = 1 and c = -5/4 are redrawn whole, so
+    # the draws off them come in the order they came without the redraws
+    import dataclasses
+    import random
+
+    fam = gamma_5_12(18)
+    unfiltered = dataclasses.replace(fam, wall_loci=())
+    rng = random.Random(912018)
+    draws = [unfiltered.sample_params(rng) for _ in range(400)]
+    on_wall = [p for p in draws if p["c"] in (F(1), F(-5, 4))]
+    assert on_wall  # seed 912018 draws c = 1, d = 5 among its first four
+    rng = random.Random(912018)
+    kept = [fam.sample_params(rng) for _ in range(400 - len(on_wall))]
+    assert kept == [p for p in draws if p not in on_wall]
+    fam.branch({"c": F(1), "d": F(3, 5), "e": F(2)})  # walls stay admissible
+
+
 def test_family_lambda_matches_row(rng):
     # the row's differential values certify the family hits its stratum
     fam = gamma_5_12(8)

