@@ -54,7 +54,7 @@ from .report import AnalysisReport, analyze
 from .semigroup import NumericalSemigroup, semigroup_from_generators
 from .series import TruncatedSeries
 from .tower import Tower, TowerElement, TowerSplit
-from .unipoly import adjoin_root, is_squarefree
+from .unipoly import is_squarefree
 
 __all__ = [
     "AmbiguousPairingError",
@@ -83,7 +83,6 @@ __all__ = [
     "TowerElement",
     "TowerSplit",
     "TruncatedSeries",
-    "adjoin_root",
     "analyze",
     "branch_intersection",
     "differential_values",

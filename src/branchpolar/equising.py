@@ -7,13 +7,17 @@ ramification cover:
 
 with L = lcm(n1, n2) and zeta a primitive n2-th root of unity.  Conjugate
 branches share one tower-valued parametrization, so pairing needs a tower
-holding two independent tuples of roots: a second copy of the branch's
-levels is adjoined, with the level where the tuples first differ replaced by
-minpoly/(z - alpha) to carve out distinct pairs.  Because x = t^n is kept
-monic, each geometric branch appears once per reparametrization t -> zeta t
-(n times); the pair counts divide by n1*n2 accordingly, and components where
-some sheet difference vanishes beyond the maximal possible contact are
-recognized as the same geometric branch and dropped.
+holding two independent tuples of roots: b1's tower with a copy of b2's
+levels above the base adjoined on top, and zeta, when it is irrational, in
+one more level whose position is kept.  A conjugate family paired with
+itself uses the same tower, b2 = b1; D5 splitting on the differences copy -
+original of its generators splits off the diagonal, the one component where
+every difference is zero, and that component is dropped.  Because x = t^n is
+kept monic, an expanded branch holds each geometric branch once per
+reparametrization t -> zeta t (n times); the pair counts divide by that
+redundancy, and components where some sheet difference vanishes beyond the
+maximal possible contact are recognized as the same geometric branch and
+dropped.
 
 The general-polar pipeline certifies genericity by agreement across sampled
 directions, never symbolically: the exceptional direction set is finite, so
@@ -23,11 +27,10 @@ and any disagreement is reported rather than hidden.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .branch import PuiseuxBranch, semigroup_of_branch
 from .eqtype import EquisingularityType
@@ -47,13 +50,12 @@ from .series import TruncatedSeries, evaluate_bivariate
 from .tower import (
     Tower,
     TowerElement,
+    classify_value,
     compose_element,
     over_components,
     project_value,
 )
 from .unipoly import ucyclotomic
-
-_ctr = itertools.count(1)
 
 _IDENTICAL = object()  # sheet-sum marker: the pair is one geometric branch
 
@@ -84,47 +86,6 @@ def intersection_multiplicity(b: PuiseuxBranch, g: BivariatePolynomial) -> int:
 # -- pair towers ---------------------------------------------------------------
 
 
-def _div_linear(coeffs: list[TowerElement], alpha: TowerElement) -> list[TowerElement]:
-    """Synthetic division of a monic polynomial by (z - alpha); the remainder
-    must vanish (alpha is a root by construction)."""
-    d = len(coeffs) - 1
-    q = [None] * d
-    q[d - 1] = coeffs[d]
-    for i in range(d - 1, 0, -1):
-        q[i - 1] = coeffs[i] + alpha * q[i]
-    rem = coeffs[0] + alpha * q[0]
-    if rem:
-        raise AssertionError("linear division by a non-root")
-    return q
-
-
-def _self_pair_setup(tower: Tower, base_height: int, j: int):
-    """Pair tower for two conjugate tuples agreeing below level j and
-    differing there; returns (pair_tower, images of tower's generators for
-    the second tuple)."""
-    gens = [tower.generator(s) for s in range(1, tower.height + 1)]
-    cur = tower
-    mp = tower.levels[j - 1].minpoly
-    alpha = cur.generator(j)
-    coeffs = [cur.from_rep(cur.lift_rep(c, j - 1)) for c in mp]
-    q = _div_linear(coeffs, alpha)
-    if len(q) == 2:  # linear quotient: the second root is explicit
-        beta = -q[0]
-    else:
-        cur = cur.adjoin(f"p{next(_ctr)}", [c.rep for c in q])
-        beta = cur.generator(cur.height)
-        gens = [cur.lift(g) for g in gens]
-    gens[j - 1] = cur.lift(beta)
-    for s in range(j + 1, tower.height + 1):
-        mp_s = tower.levels[s - 1].minpoly
-        imgs = [cur.lift(g) for g in gens[: s - 1]]
-        new_coeffs = [compose_element(cur, imgs, c, s - 1) for c in mp_s]
-        cur = cur.adjoin(f"q{next(_ctr)}", [cur.lift(c).rep for c in new_coeffs])
-        gens = [cur.lift(g) for g in gens]
-        gens[s - 1] = cur.generator(cur.height)
-    return cur, gens
-
-
 def _cross_pair_setup(t1: Tower | None, t2: Tower | None, base_height: int):
     """Combined tower holding b1's tuple and an independent copy of b2's;
     returns (pair_tower, images of t2's generators)."""
@@ -145,21 +106,38 @@ def _cross_pair_setup(t1: Tower | None, t2: Tower | None, base_height: int):
         mp_s = t2.levels[s - 1].minpoly
         imgs = [cur.lift(g) for g in gens[: s - 1]]
         new_coeffs = [compose_element(cur, imgs, c, s - 1) for c in mp_s]
-        cur = cur.adjoin(f"c{next(_ctr)}", [cur.lift(c).rep for c in new_coeffs])
+        cur = cur.adjoin(f"c{cur.height + 1}", [cur.lift(c).rep for c in new_coeffs])
         gens = [cur.lift(g) if g is not None else None for g in gens]
         gens[s - 1] = cur.generator(cur.height)
     return cur, gens
 
 
+def _off_diagonal(pair: Tower, gens: list, base_height: int) -> list[Tower]:
+    """Components of a self-pair tower that hold no pair of equal tuples.
+
+    D5 splitting on the differences copy - original of the generators above
+    the base leaves each difference zero or a unit in every component; the
+    one component where all of them are zero is the diagonal."""
+    diffs = [g - pair.generator(s) for s, g in enumerate(gens, 1) if s > base_height]
+    results = over_components(
+        pair,
+        diffs,
+        lambda tw, ds: [project_value(d, tw) for d in ds],
+        lambda _tw, ds: all(classify_value(d)[0] == "zero" for d in ds),
+        min_stage=base_height,
+    )
+    return [tw for tw, diagonal in results if not diagonal]
+
+
 def _adjoin_zeta(tower: Tower, n: int):
-    """A primitive n-th root of unity over the tower (rational for n <= 2)."""
-    if n == 1:
-        return tower, Fraction(1)
-    if n == 2:
-        return tower, Fraction(-1)
+    """A primitive n-th root of unity over the tower (rational for n <= 2);
+    returns (tower, zeta, height of the level holding zeta or None)."""
+    if n <= 2:
+        return tower, Fraction(1 if n == 1 else -1), None
     phi = ucyclotomic(n)
-    cur = tower.adjoin(f"zeta{next(_ctr)}", [tower.from_rational(c).rep for c in phi])
-    return cur, cur.generator(cur.height)
+    stage = tower.height + 1
+    cur = tower.adjoin(f"zeta{stage}", [tower.from_rational(c).rep for c in phi])
+    return cur, cur.generator(stage), stage
 
 
 def _redundancy(b: PuiseuxBranch, base_height: int) -> int:
@@ -173,11 +151,14 @@ def _redundancy(b: PuiseuxBranch, base_height: int) -> int:
     return d // b.conjugacy
 
 
-def _pair_geometric_count(tower: Tower, base_height: int, red: int) -> int:
-    d = 1
-    for lv in tower.levels[base_height:]:
-        if not lv.name.startswith("zeta"):
-            d *= lv.degree
+def _pair_geometric_count(
+    tower: Tower, base_height: int, red: int, zeta_stage: int | None
+) -> int:
+    """Geometric pairs in a pair-tower component: its degree above the base,
+    the zeta level left out, over the representation redundancy."""
+    d = prod(
+        deg for k, deg in enumerate(tower.degrees, 1) if k > base_height and k != zeta_stage
+    )
     if d % red:
         raise AssertionError("pair degree not divisible by representation redundancy")
     return d // red
@@ -193,90 +174,82 @@ def pair_intersection_values(
     all pairs (conjugate of b1, conjugate of b2), or over distinct conjugate
     pairs of b1 when ``b2`` is None."""
     self_pair = b2 is None
-    n1 = b1.n
-    n2 = b1.n if self_pair else b2.n
-    big_l = lcm(n1, n2)
-    s1, s2 = big_l // n1, big_l // n2
-
-    setups = []
     if self_pair:
         t = b1.tower()
         if t is None or t.height <= base_height:
             raise ValueError("self-pairing needs conjugates (nontrivial tower)")
-        red = _redundancy(b1, base_height) ** 2
-        for j in range(base_height + 1, t.height + 1):
-            setups.append(_self_pair_setup(t, base_height, j) + (b1,))
-    else:
-        red = _redundancy(b1, base_height) * _redundancy(b2, base_height)
-        setups.append(_cross_pair_setup(b1.tower(), b2.tower(), base_height) + (b2,))
+        b2 = b1
+    red = _redundancy(b1, base_height) * _redundancy(b2, base_height)
+    n1, n2 = b1.n, b2.n
+    big_l = lcm(n1, n2)
+    s1, s2 = big_l // n1, big_l // n2
+    tr_u = None if b2.trunc is None else (b2.trunc - 1) * s2 + 1
+
+    pair, gens = _cross_pair_setup(b1.tower(), b2.tower(), base_height)
+    comps = _off_diagonal(pair, gens, base_height) if self_pair else [pair]
+
+    def proj(tw, data):
+        yy1, yy2, zz = data
+        return (
+            yy1.project(tw),
+            tuple((e, project_value(c, tw)) for e, c in yy2),
+            project_value(zz, tw),
+        )
+
+    def compute(tw, data):
+        yy1, yy2, zz = data
+        total = 0
+        for j in range(n2):
+            terms = {}
+            zpow: dict[int, object] = {}
+            for e, c in yy2:
+                ze = (j * e) % n2
+                if ze not in zpow:
+                    zpow[ze] = zz ** ze
+                terms[e * s2] = c * zpow[ze]
+            diff = yy1 - TruncatedSeries(terms, tr_u)
+            try:
+                o = diff.order()
+            except PrecisionError:
+                if (
+                    max_contact is not None
+                    and diff.trunc is not None
+                    and diff.trunc > s1 * max_contact
+                ):
+                    return _IDENTICAL
+                raise
+            if o is None:
+                return _IDENTICAL
+            total += o
+        if total % s1:
+            raise AssertionError("sheet sum not divisible by the cover degree")
+        return total // s1
 
     out: dict[int, int] = {}
-    for cur, gens2, bb2 in setups:
-        cur2, zeta = _adjoin_zeta(cur, n2)
-        if not isinstance(zeta, Fraction):
-            gens2 = [cur2.lift(g) for g in gens2]
+    for comp in comps:
+        cur, zeta, zeta_stage = _adjoin_zeta(comp, n2)
+        gens2 = [cur.lift(project_value(g, comp)) for g in gens]
         y1u = b1.y_series().stretch(s1)
-        if cur2.height:
-            y1u = y1u.map_values(cur2.lift)
+        if cur.height:
+            y1u = y1u.map_values(cur.lift)
         # second tuple: remap coefficients through the generator images
         y2_terms = []
-        for e, c in bb2.y_terms:
+        for e, c in b2.y_terms:
             if isinstance(c, TowerElement):
-                imgs = [cur2.lift(g) for g in gens2[: c.tower.height]]
-                c2 = compose_element(cur2, imgs, c.rep, c.tower.height)
+                c2 = compose_element(cur, gens2[: c.tower.height], c.rep, c.tower.height)
             else:
-                c2 = cur2.from_rational(c) if cur2.height else c
+                c2 = cur.from_rational(c) if cur.height else c
             y2_terms.append((e, c2))
-        payload = (y1u, tuple(y2_terms), bb2.trunc, zeta)
-
-        def proj(tw, data):
-            yy1, yy2, tr, zz = data
-            return (
-                yy1.project(tw),
-                tuple((e, project_value(c, tw)) for e, c in yy2),
-                tr,
-                project_value(zz, tw),
-            )
-
-        def compute(tw, data):
-            yy1, yy2, tr, zz = data
-            total = 0
-            for j in range(n2):
-                terms = {}
-                zpow: dict[int, object] = {}
-                for e, c in yy2:
-                    ze = (j * e) % n2
-                    if ze not in zpow:
-                        zpow[ze] = zz ** ze
-                    terms[e * s2] = c * zpow[ze]
-                tr_u = None if tr is None else (tr - 1) * s2 + 1
-                diff = yy1 - TruncatedSeries(terms, tr_u)
-                try:
-                    o = diff.order()
-                except PrecisionError:
-                    if (
-                        max_contact is not None
-                        and diff.trunc is not None
-                        and diff.trunc > s1 * max_contact
-                    ):
-                        return _IDENTICAL
-                    raise
-                if o is None:
-                    return _IDENTICAL
-                total += o
-            if total % s1:
-                raise AssertionError("sheet sum not divisible by the cover degree")
-            return total // s1
-
-        results = over_components(cur2, payload, proj, compute, min_stage=base_height)
+        results = over_components(
+            cur, (y1u, tuple(y2_terms), zeta), proj, compute, min_stage=base_height
+        )
         for tw, value in results:
             if value is _IDENTICAL:
                 if not self_pair:
                     raise AssertionError("distinct branches produced an identical pair")
                 continue
-            cnt = _pair_geometric_count(tw, base_height, red)
-            if cnt:
-                out[value] = out.get(value, 0) + cnt
+            cnt = _pair_geometric_count(tw, base_height, red, zeta_stage)
+            out[value] = out.get(value, 0) + cnt
     return out
 
 

@@ -8,7 +8,7 @@ non-generic loci).  Family names:
     gamma-5-12/<row>   rows 1..18 of the <5,12> classification
     mult3              (t^3, t^beta + t^(beta+eps+3k)), params beta, k
     mult3-monomial     (t^3, t^beta)
-    mult4-g1/<form>    multiplicity four, genus one, forms 1..5
+    mult4-g1/<form>    multiplicity four, genus one, forms 1..3
     mult4-g2           multiplicity four, genus two, params v1, v2
 """
 
@@ -210,15 +210,16 @@ def _mult4_g1_exponents(m: int, j: int) -> list[int]:
 
 
 def mult4_g1(form: int) -> BranchFamily:
-    """Multiplicity four, genus one: the five normal forms over <4, m>.
+    """Multiplicity four, genus one: three normal forms over <4, m>.
 
-    Form 2 takes integer parameters m (odd), j with 2 <= j <= m//2 and
-    moduli a1, a2, ... (rational, or sqrt6-tower elements at the walls);
-    forms 3..5 are built with their leading exponent 2m-4j and sampled
-    higher terms, all giving polars governed by gcd(3, m-j).
+    Form 1 is the monomial (t^4, t^m).  Form 2 takes integer parameters m
+    (odd), j with 2 <= j <= m//2 and moduli a1, a2, ... (rational, or
+    sqrt6-tower elements at the walls).  Form 3 takes m, j with
+    2 <= j <= m//4: leading exponent 2m-4j and a sampled tail at 3m-8j, with
+    polars governed by gcd(3, m-j).
     """
-    if form not in (1, 2, 3, 4, 5):
-        raise FamilyError("mult4-g1 forms are 1..5")
+    if form not in (1, 2, 3):
+        raise FamilyError("mult4-g1 forms are 1..3")
 
     def build(params: dict) -> PuiseuxBranch:
         m = int(params["m"])
@@ -239,7 +240,7 @@ def mult4_g1(form: int) -> BranchFamily:
                     terms[exp] = v
         else:
             if not 2 <= j <= q4:
-                raise FamilyError(f"forms 3..5 need 2 <= j <= {q4}")
+                raise FamilyError(f"form 3 needs 2 <= j <= {q4}")
             terms[2 * m - 4 * j] = Fraction(1)
             # a tail exponent in the allowed range keeps the stratum generic
             tail = params.get("tail", Fraction(0))
@@ -338,6 +339,5 @@ def family(name: str, **params) -> BranchFamily:
 
 FAMILY_NAMES = tuple(
     [f"gamma-5-12/{r}" for r in range(1, 19)]
-    + ["mult3", "mult3-monomial", "mult4-g1/1", "mult4-g1/2", "mult4-g1/3",
-       "mult4-g1/4", "mult4-g1/5", "mult4-g2"]
+    + ["mult3", "mult3-monomial", "mult4-g1/1", "mult4-g1/2", "mult4-g1/3", "mult4-g2"]
 )

@@ -14,8 +14,8 @@ coefficient rings:
   scaled to a primitive integer polynomial, the PRS divides exactly in
   Z[x] without any ``Fraction`` arithmetic, and the scales are divided back
   out of the resultant.
-* :class:`BivariatePolynomial` itself, for the rest: tower-valued inputs to
-  ``resultant_y``, and ``y_gcd_degree``.
+* :class:`BivariatePolynomial` itself, for tower-valued inputs to
+  ``resultant_y``.
 """
 
 from __future__ import annotations
@@ -516,14 +516,3 @@ def resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePoly
         raise AssertionError("resultant_y did not eliminate y")
     return res
 
-
-def y_gcd_degree(f: BivariatePolynomial, g: BivariatePolynomial) -> int:
-    """Degree in y of gcd(f, g) over the fraction field in x (0 means
-    coprime as y-polynomials)."""
-    F, G = _mstrip(f.y_coefficients()), _mstrip(g.y_coefficients())
-    if not F:
-        return _mdeg(G) if G else -1
-    if not G:
-        return _mdeg(F)
-    R, _ = subresultant_prs(F, G)
-    return _mdeg(R[-1])

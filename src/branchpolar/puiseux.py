@@ -7,7 +7,9 @@ recentered by x = x1^e, y = x1^q (z + y1) with d = m/n = q/e in lowest
 terms.  Simple roots continue as regular implicit-function solutions by a
 quadratically convergent Newton iteration on truncated series; multiple
 roots recurse on the transformed germ.  Fractional exponents never appear:
-the ramifications e multiply up into the final substitution x = t^N.
+the ramifications e multiply up into the final substitution x = t^N.  A level
+is named after its position, r<height>, so expanding one germ twice gives
+equal towers; a level is identified by its name and minimal polynomial.
 
 The Newton solve follows two precision rules.  A step to t^prec inverts
 f_y only mod t^(prec - h), where h is the measured order of the residual.
@@ -27,7 +29,6 @@ whole expansion re-runs in each component tower and the branch lists merge
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, gcd
 
@@ -35,7 +36,7 @@ from .branch import PuiseuxBranch, characteristic_exponents
 from .errors import NotReducedError, PrecisionError
 from .implicit import milnor_number
 from .newton import newton_polygon
-from .poly import BivariatePolynomial, y_gcd_degree
+from .poly import BivariatePolynomial, resultant_y
 from .series import TruncatedSeries, evaluate_bivariate
 from .tower import (
     Tower,
@@ -45,8 +46,6 @@ from .tower import (
     value_is_zero,
 )
 from .unipoly import uyun
-
-_fresh_counter = itertools.count(1)
 
 
 def _base_tower(f: BivariatePolynomial) -> Tower | None:
@@ -76,7 +75,7 @@ def puiseux_expand(
         raise ValueError("x divides f: the vertical axis branch has no x = t^n form")
     if (0, 0) in f.terms:
         raise ValueError("f(0,0) != 0: no germ at the origin")
-    if y_gcd_degree(f, f.derivative_y()) > 0:
+    if resultant_y(f, f.derivative_y()).is_zero:
         raise NotReducedError("f and f_y share a y-factor")
     base = _base_tower(f)
     base_height = base.height if base is not None else 0
@@ -187,9 +186,7 @@ def _expand_side(f, side, tower, budget, depth, max_depth, complete):
             tower2 = tower
         else:
             host = tower if tower is not None else Tower()
-            name = f"r{next(_fresh_counter)}"
-            lifted = [host.lift(c).rep for c in g]
-            tower2 = host.adjoin(name, lifted)
+            tower2 = host.adjoin(f"r{host.height + 1}", [host.lift(c).rep for c in g])
             root = tower2.generator(tower2.height)
         # the recentering raises every final validity by q*N_child >= qx, so
         # the child only needs the budget shrunk by qx

@@ -209,31 +209,3 @@ def ucyclotomic(n: int) -> UPoly:
             p = uexact_div(p, ucyclotomic(d))
     return p
 
-
-_adjoin_counter = 0
-
-
-def adjoin_root(tower: Tower | None, p: UPoly, name: str | None = None):
-    """Adjoin one root of a squarefree polynomial to a tower.
-
-    Returns ``(tower, root)``; a linear polynomial returns the unchanged
-    tower with its explicit root, so adjoining never grows the tower for
-    rational roots.  Non-squarefree input is rejected: callers must pass
-    the squarefree part and track multiplicities themselves.
-    """
-    global _adjoin_counter
-    p = ustrip(p)
-    if udeg(p) < 1:
-        raise ValueError("cannot adjoin a root of a constant")
-    if not is_squarefree(p, tower):
-        raise ValueError("adjoin_root requires a squarefree polynomial")
-    host = tower if tower is not None else Tower()
-    monic, _ = umonic(p)
-    if udeg(monic) == 1:
-        root = -monic[0]
-        return tower, root
-    if name is None:
-        _adjoin_counter += 1
-        name = f"adj{_adjoin_counter}"
-    extended = host.adjoin(name, [host.lift(c).rep for c in monic])
-    return extended, extended.generator(extended.height)

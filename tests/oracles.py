@@ -3,12 +3,22 @@ against."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 from branchpolar.branch import PuiseuxBranch
-from branchpolar.errors import NonIsolatedSingularityError
+from branchpolar.errors import NonIsolatedSingularityError, PrecisionError
 from branchpolar.poly import BivariatePolynomial, prs_resultant, resultant_y
 from branchpolar.series import TruncatedSeries, evaluate_bivariate
-from branchpolar.tower import Tower, classify_value, invert_value
+from branchpolar.tower import (
+    Tower,
+    TowerElement,
+    classify_value,
+    compose_element,
+    invert_value,
+    over_components,
+    project_value,
+)
+from branchpolar.unipoly import ucyclotomic
 
 
 def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
@@ -244,4 +254,117 @@ def nested_pow(tw: Tower, stage: int, a, n: int):
             out = nested_mul(tw, stage, out, base)
         base = nested_mul(tw, stage, base, base)
         n >>= 1
+    return out
+
+
+# -- self-pairs by carved towers -------------------------------------------------
+
+
+def _div_linear(coeffs: list, alpha: TowerElement) -> list:
+    """Synthetic division of a monic polynomial by (z - alpha); the remainder
+    must vanish (alpha is a root by construction)."""
+    d = len(coeffs) - 1
+    q = [None] * d
+    q[d - 1] = coeffs[d]
+    for i in range(d - 1, 0, -1):
+        q[i - 1] = coeffs[i] + alpha * q[i]
+    rem = coeffs[0] + alpha * q[0]
+    if rem:
+        raise AssertionError("linear division by a non-root")
+    return q
+
+
+def _self_pair_setup(tower: Tower, j: int):
+    """Pair tower for two conjugate tuples agreeing below level j and
+    differing there: level j of the second tuple is a root of
+    minpoly_j / (z - alpha_j), the levels above it are fresh copies.
+    Returns (pair_tower, images of tower's generators for the second tuple)."""
+    gens = [tower.generator(s) for s in range(1, tower.height + 1)]
+    cur = tower
+    mp = tower.levels[j - 1].minpoly
+    alpha = cur.generator(j)
+    coeffs = [cur.from_rep(cur.lift_rep(c, j - 1)) for c in mp]
+    q = _div_linear(coeffs, alpha)
+    if len(q) == 2:  # linear quotient: the second root is explicit
+        beta = -q[0]
+    else:
+        cur = cur.adjoin(f"p{cur.height + 1}", [c.rep for c in q])
+        beta = cur.generator(cur.height)
+        gens = [cur.lift(g) for g in gens]
+    gens[j - 1] = cur.lift(beta)
+    for s in range(j + 1, tower.height + 1):
+        mp_s = tower.levels[s - 1].minpoly
+        imgs = [cur.lift(g) for g in gens[: s - 1]]
+        new_coeffs = [compose_element(cur, imgs, c, s - 1) for c in mp_s]
+        cur = cur.adjoin(f"q{cur.height + 1}", [cur.lift(c).rep for c in new_coeffs])
+        gens = [cur.lift(g) for g in gens]
+        gens[s - 1] = cur.generator(cur.height)
+    return cur, gens
+
+
+def self_pair_values_carved(
+    b: PuiseuxBranch, base_height: int = 0, max_contact: int | None = None
+) -> dict[int, int]:
+    """{intersection value: ordered geometric pairs} over distinct conjugate
+    pairs of b, one carved pair tower per level j above the base (the tuples
+    first differ at level j), with a sheet sum over the n-th roots of unity;
+    pairs of one geometric branch (t -> zeta t) are dropped by ``max_contact``
+    or an exact zero difference.  A reference for
+    ``equising.pair_intersection_values(b, None)``, which splits the diagonal
+    off one pair tower instead."""
+    t = b.tower()
+    n = b.n
+    d = t.degree_above(base_height)
+    red = (d // b.conjugacy) ** 2
+    out: dict[int, int] = {}
+    for j in range(base_height + 1, t.height + 1):
+        cur, gens = _self_pair_setup(t, j)
+        zeta_stage = None
+        zeta = Fraction(1 if n == 1 else -1)
+        if n > 2:
+            cur = cur.adjoin("zeta", [cur.from_rational(c).rep for c in ucyclotomic(n)])
+            zeta_stage = cur.height
+            zeta = cur.generator(zeta_stage)
+            gens = [cur.lift(g) for g in gens]
+        y1 = b.y_series().map_values(cur.lift)
+        y2 = []
+        for e, c in b.y_terms:
+            if isinstance(c, TowerElement):
+                c = compose_element(cur, gens[: c.tower.height], c.rep, c.tower.height)
+            y2.append((e, cur.lift(c)))
+
+        def proj(tw, data):
+            yy1, yy2, zz = data
+            return (
+                yy1.project(tw),
+                [(e, project_value(c, tw)) for e, c in yy2],
+                project_value(zz, tw),
+            )
+
+        def compute(tw, data):
+            yy1, yy2, zz = data
+            total = 0
+            for k in range(n):
+                sheet = TruncatedSeries({e: c * zz ** ((k * e) % n) for e, c in yy2}, b.trunc)
+                diff = yy1 - sheet
+                try:
+                    o = diff.order()
+                except PrecisionError:
+                    if max_contact is not None and diff.trunc > max_contact:
+                        return None
+                    raise
+                if o is None:
+                    return None
+                total += o
+            return total
+
+        for tw, value in over_components(cur, (y1, y2, zeta), proj, compute, base_height):
+            if value is None:
+                continue
+            deg = prod(
+                dk for k, dk in enumerate(tw.degrees, 1) if k > base_height and k != zeta_stage
+            )
+            if deg % red:
+                raise AssertionError("pair degree not divisible by the redundancy")
+            out[value] = out.get(value, 0) + deg // red
     return out

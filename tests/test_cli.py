@@ -187,3 +187,5 @@ def test_families_listing(capsys):
     assert code == 0
     names = json.loads(out)["families"]
     assert "gamma-5-12/18" in names and "mult4-g2" in names
+    assert "mult4-g1/3" in names
+    assert "mult4-g1/4" not in names and "mult4-g1/5" not in names

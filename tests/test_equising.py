@@ -1,6 +1,7 @@
 """Intersection multiplicities, canonical types, the generic-polar pipeline
 and sweep machinery."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,12 +13,16 @@ from branchpolar.equising import (
     equisingularity_type,
     generic_polar_type,
     intersection_multiplicity,
+    pair_intersection_values,
+    random_direction,
     stratum_sweep,
 )
 from branchpolar.families import gamma_5_12
 from branchpolar.implicit import implicitize, milnor_number, polar
 from branchpolar.poly import BivariatePolynomial as BP
+from branchpolar.puiseux import puiseux_expand
 from branchpolar.semigroup import semigroup_from_generators
+from oracles import self_pair_values_carved
 
 
 def test_intersection_with_curve():
@@ -198,18 +203,73 @@ def test_genus2_fixture_type():
     assert t.intersections[0][1] == 3  # k1 = v1/2
 
 
+def _conjugate_families(p):
+    """(branch, max_contact) for every branch of p's expansion that stands
+    for two or more conjugates; max_contact as in equisingularity_type."""
+    max_contact = milnor_number(p) + p.degree_y() + 1
+    return [(b, max_contact) for b in puiseux_expand(p) if b.conjugacy >= 2]
+
+
+def _self_pairs_match_oracle(p) -> list[tuple[int, int, int]]:
+    """Compare the self-pairs of every conjugate family of p's expansion
+    with the carved-tower oracle; returns (n, tower height, tuples per
+    geometric branch) of the families checked."""
+    checked = []
+    for b, max_contact in _conjugate_families(p):
+        vals = pair_intersection_values(b, None, 0, max_contact)
+        assert vals == self_pair_values_carved(b, 0, max_contact)
+        assert sum(vals.values()) == b.conjugacy * (b.conjugacy - 1)
+        t = b.tower()
+        checked.append((b.n, t.height, t.degree() // b.conjugacy))
+    return checked
+
+
+def _y4_x13_polar():
+    return polar(implicitize(PuiseuxBranch.from_terms(4, {13: F(1)})), F(2), F(5))
+
+
 def test_pair_values_for_three_conjugates():
     # polar of y^4 - x^13 at a generic direction: 4b y^3 = 13a x^12 gives
     # three smooth conjugate branches in one cubic tower family; all six
     # ordered pairs meet with multiplicity (m-1)/3 = 4
-    from branchpolar.equising import pair_intersection_values
-    from branchpolar.puiseux import puiseux_expand
+    families = _conjugate_families(_y4_x13_polar())
+    assert len(families) == 1 and families[0][0].conjugacy == 3
+    b, max_contact = families[0]
+    vals = pair_intersection_values(b, None, 0, max_contact=40)
+    assert vals == {4: 6} == self_pair_values_carved(b, 0, max_contact)
 
-    p = polar(implicitize(PuiseuxBranch.from_terms(4, {13: F(1)})), F(2), F(5))
-    branches = puiseux_expand(p)
-    assert len(branches) == 1 and branches[0].conjugacy == 3
-    vals = pair_intersection_values(branches[0], None, 0, max_contact=40)
-    assert vals == {4: 6}
+
+def test_self_pairs_of_a_truncated_family_need_no_max_contact():
+    # the diagonal is split off exactly, so no pair of equal tuples is
+    # ever compared at the truncation
+    b, _ = _conjugate_families(_y4_x13_polar())[0]
+    truncated = PuiseuxBranch(b.n, b.y_terms, 10, 3)
+    assert pair_intersection_values(truncated, None) == {4: 6}
+
+
+def test_self_pairs_match_carved_oracle_on_row18_walls():
+    fam = gamma_5_12(18)
+    rng = random.Random(1818)
+    heights = set()
+    for wall in fam.walls:
+        f = implicitize(fam.branch(dict(wall)))
+        heights.update(h for _n, h, _r in _self_pairs_match_oracle(polar(f, *random_direction(rng))))
+    assert heights == {1, 2}  # one-level families (c = 1), two-level ones (c = -5/4)
+
+
+def test_self_pairs_match_carved_oracle_on_random_polars():
+    rng = random.Random(20261019)
+    branches = [PuiseuxBranch.from_terms(7, {11: F(1)})]  # zeta adjoined, 3 tuples each
+    for _ in range(20):
+        n = rng.randint(3, 5)
+        exps = [e for e in range(n + 1, 3 * n + 3) if e % n]
+        terms = {e: F(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for e in rng.sample(exps, 2)}
+        branches.append(PuiseuxBranch.from_terms(n, terms))
+    checked = []
+    for br in branches:
+        checked += _self_pairs_match_oracle(polar(implicitize(br), *random_direction(rng)))
+    assert len(checked) >= 5
+    assert (3, 1, 3) in checked  # ramification 3: the zeta level and t -> zeta t pairs
 
 
 def test_mult4_deep_wall_contact_verified_by_two_milnor_routes():

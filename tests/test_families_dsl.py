@@ -78,6 +78,11 @@ def test_mult4_families():
     assert dict(g2.y_terms) == {6: F(1), 7: F(1), 9: F(2)}
     with pytest.raises(FamilyError):
         mult4_g2().branch({"v1": 8, "v2": 17})  # k1 even
+    # forms 3, 4 and 5 built identical branches: one name remains
+    family("mult4-g1/3").branch({"m": 13, "j": 2, "tail": F(1)})
+    for gone in ("mult4-g1/4", "mult4-g1/5"):
+        with pytest.raises(FamilyError):
+            family(gone)
 
 
 def test_dsl_examples():

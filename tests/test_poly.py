@@ -11,7 +11,6 @@ from branchpolar.poly import (
     ZX,
     BivariatePolynomial as BP,
     resultant_y,
-    y_gcd_degree,
 )
 from oracles import shift_y, sylvester_resultant_y
 
@@ -129,12 +128,17 @@ def test_rejects_y_degree_zero_in_both():
         resultant_y(BP({(2, 0): F(1)}), BP({(5, 0): F(3)}))
 
 
-def test_gcd_degree_detects_common_factor():
+def test_resultant_detects_common_factor():
+    # Res_y vanishes exactly when f and g share a factor of positive
+    # y-degree, over Q and over a tower alike
     p = BP({(0, 1): F(1), (1, 0): F(-1)})  # y - x
     f = p * BP({(0, 1): F(1), (2, 0): F(1)})
     g = p * BP({(0, 1): F(1), (3, 0): F(-2)})
-    assert y_gcd_degree(f, g) == 1
-    assert y_gcd_degree(f, BP({(0, 1): F(1), (5, 0): F(1)})) == 0
+    assert resultant_y(f, g).is_zero
+    assert not resultant_y(f, BP({(0, 1): F(1), (5, 0): F(1)})).is_zero
+    q = BP({(0, 1): F(1), (1, 0): SQRT6})  # y + sqrt6 x
+    assert resultant_y(q * f, q * BP({(0, 2): F(1), (3, 0): F(1)})).is_zero
+    assert not resultant_y(q * f, BP({(0, 1): F(1), (5, 0): SQRT6})).is_zero
 
 
 def test_exact_div_and_shift():

@@ -242,3 +242,13 @@ def test_recentered_y_axis_root_is_never_claimed_exact():
     axis, other = puiseux_expand(f, target_order=8)
     assert (dict(axis.y_terms), axis.trunc) == ({1: F(1)}, 7)
     assert (dict(other.y_terms), other.trunc) == ({1: F(1), 3: F(1)}, 9)
+
+
+def test_expanding_a_germ_twice_gives_identical_towers():
+    # level names come from level positions, not from a process-wide
+    # counter, so a repeated expansion names its levels the same way
+    p = polar(implicitize(PuiseuxBranch.from_terms(6, {9: F(1), 10: F(1)})), F(2), F(5))
+    first = [repr(b.tower()) for b in puiseux_expand(p)]
+    second = [repr(b.tower()) for b in puiseux_expand(p)]
+    assert first == second
+    assert "Tower(r1^2,r2^2)" in first

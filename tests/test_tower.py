@@ -116,23 +116,6 @@ def test_is_squarefree_over_split_tower():
     assert is_squarefree([-(e + 1), t.zero(), t.one()])
 
 
-def test_adjoin_root_behaviour():
-    from branchpolar.unipoly import adjoin_root
-
-    # linear case: tower unchanged, rational root returned
-    tw, root = adjoin_root(None, [F(-3), F(1)])
-    assert tw is None and root == 3
-    # quadratic: one new level whose generator squares to 2
-    tw2, alpha = adjoin_root(None, [F(-2), F(0), F(1)])
-    assert tw2.degree() == 2 and alpha ** 2 == 2
-    # z^3 - 3 (the 4bz^3 - 12a side shape at a = b = 1): degree-3 tower
-    tw3, beta = adjoin_root(None, [F(-3), F(0), F(0), F(1)])
-    assert tw3.degree() == 3 and beta ** 3 == 3
-    # non-squarefree input is the caller's bug
-    with pytest.raises(ValueError):
-        adjoin_root(None, [F(0), F(0), F(1)])
-
-
 def test_yun_squarefree_factorization(rng):
     # (z-1)^2 (z+2) over Q
     p = umul(umul([F(-1), F(1)], [F(-1), F(1)]), [F(2), F(1)])
