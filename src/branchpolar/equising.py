@@ -9,15 +9,21 @@ with L = lcm(n1, n2) and zeta a primitive n2-th root of unity.  Conjugate
 branches share one tower-valued parametrization, so pairing needs a tower
 holding two independent tuples of roots: b1's tower with a copy of b2's
 levels above the base adjoined on top, and zeta, when it is irrational, in
-one more level whose position is kept.  A conjugate family paired with
-itself uses the same tower, b2 = b1; D5 splitting on the differences copy -
-original of its generators splits off the diagonal, the one component where
-every difference is zero, and that component is dropped.  Because x = t^n is
-kept monic, an expanded branch holds each geometric branch once per
-reparametrization t -> zeta t (n times); the pair counts divide by that
-redundancy, and components where some sheet difference vanishes beyond the
-maximal possible contact are recognized as the same geometric branch and
-dropped.
+one more level.  A conjugate family paired with itself uses the same tower,
+b2 = b1; D5 splitting on the differences copy - original of its generators
+splits off the diagonal, the one component where every difference is zero,
+and that component is dropped.  Because x = t^n is kept monic, an expanded
+branch holds each geometric branch once per reparametrization t -> zeta t
+(n times); the pair counts divide by that redundancy and by the degree of
+zeta, wherever zeta's level splits.
+
+A Puiseux root is determined by its terms up to its first simple
+side-polynomial root (implicit function theorem), and an expansion truncates
+every branch after that term, so two tuples whose difference vanishes to its
+truncation are one geometric branch.  The pair count certifies this rule: it
+must be c1 * c2 for families of c1 and c2 conjugates, c1 * (c1 - 1) for a
+family with itself; a short count (distinct branches agreeing to their
+truncation) raises PrecisionError, an excess AssertionError.
 
 The general-polar pipeline certifies genericity by agreement across sampled
 directions, never symbolically: the exceptional direction set is finite, so
@@ -30,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 
 from .branch import PuiseuxBranch, semigroup_of_branch
 from .eqtype import EquisingularityType
@@ -56,8 +62,6 @@ from .tower import (
     project_value,
 )
 from .unipoly import ucyclotomic
-
-_IDENTICAL = object()  # sheet-sum marker: the pair is one geometric branch
 
 
 def intersection_multiplicity(b: PuiseuxBranch, g: BivariatePolynomial) -> int:
@@ -131,13 +135,12 @@ def _off_diagonal(pair: Tower, gens: list, base_height: int) -> list[Tower]:
 
 def _adjoin_zeta(tower: Tower, n: int):
     """A primitive n-th root of unity over the tower (rational for n <= 2);
-    returns (tower, zeta, height of the level holding zeta or None)."""
+    returns (tower, zeta)."""
     if n <= 2:
-        return tower, Fraction(1 if n == 1 else -1), None
-    phi = ucyclotomic(n)
+        return tower, Fraction(1 if n == 1 else -1)
     stage = tower.height + 1
-    cur = tower.adjoin(f"zeta{stage}", [tower.from_rational(c).rep for c in phi])
-    return cur, cur.generator(stage), stage
+    cur = tower.adjoin(f"zeta{stage}", [tower.from_rational(c).rep for c in ucyclotomic(n)])
+    return cur, cur.generator(stage)
 
 
 def _redundancy(b: PuiseuxBranch, base_height: int) -> int:
@@ -151,36 +154,26 @@ def _redundancy(b: PuiseuxBranch, base_height: int) -> int:
     return d // b.conjugacy
 
 
-def _pair_geometric_count(
-    tower: Tower, base_height: int, red: int, zeta_stage: int | None
-) -> int:
-    """Geometric pairs in a pair-tower component: its degree above the base,
-    the zeta level left out, over the representation redundancy."""
-    d = prod(
-        deg for k, deg in enumerate(tower.degrees, 1) if k > base_height and k != zeta_stage
-    )
-    if d % red:
-        raise AssertionError("pair degree not divisible by representation redundancy")
-    return d // red
-
-
 def pair_intersection_values(
     b1: PuiseuxBranch,
     b2: PuiseuxBranch | None = None,
     base_height: int = 0,
-    max_contact: int | None = None,
 ) -> dict[int, int]:
     """Multiset {intersection value: number of ordered geometric pairs} over
     all pairs (conjugate of b1, conjugate of b2), or over distinct conjugate
-    pairs of b1 when ``b2`` is None."""
+    pairs of b1 when ``b2`` is None; its total is checked against the
+    conjugacies (PrecisionError when short, see the module docstring)."""
     self_pair = b2 is None
     if self_pair:
         t = b1.tower()
         if t is None or t.height <= base_height:
             raise ValueError("self-pairing needs conjugates (nontrivial tower)")
         b2 = b1
-    red = _redundancy(b1, base_height) * _redundancy(b2, base_height)
     n1, n2 = b1.n, b2.n
+    # every pair-tower component holds each geometric pair once per tuple of
+    # b1, per tuple of b2 and per embedding of zeta, however zeta's level splits
+    phi = sum(gcd(k, n2) == 1 for k in range(1, n2 + 1))
+    red = _redundancy(b1, base_height) * _redundancy(b2, base_height) * phi
     big_l = lcm(n1, n2)
     s1, s2 = big_l // n1, big_l // n2
     tr_u = None if b2.trunc is None else (b2.trunc - 1) * s2 + 1
@@ -211,23 +204,19 @@ def pair_intersection_values(
             try:
                 o = diff.order()
             except PrecisionError:
-                if (
-                    max_contact is not None
-                    and diff.trunc is not None
-                    and diff.trunc > s1 * max_contact
-                ):
-                    return _IDENTICAL
-                raise
+                return None  # agrees to its truncation: one geometric branch
             if o is None:
-                return _IDENTICAL
+                if not self_pair:
+                    raise AssertionError("distinct branches produced an identical pair")
+                return None
             total += o
         if total % s1:
             raise AssertionError("sheet sum not divisible by the cover degree")
         return total // s1
 
-    out: dict[int, int] = {}
+    degrees: dict[int, int] = {}
     for comp in comps:
-        cur, zeta, zeta_stage = _adjoin_zeta(comp, n2)
+        cur, zeta = _adjoin_zeta(comp, n2)
         gens2 = [cur.lift(project_value(g, comp)) for g in gens]
         y1u = b1.y_series().stretch(s1)
         if cur.height:
@@ -244,12 +233,17 @@ def pair_intersection_values(
             cur, (y1u, tuple(y2_terms), zeta), proj, compute, min_stage=base_height
         )
         for tw, value in results:
-            if value is _IDENTICAL:
-                if not self_pair:
-                    raise AssertionError("distinct branches produced an identical pair")
-                continue
-            cnt = _pair_geometric_count(tw, base_height, red, zeta_stage)
-            out[value] = out.get(value, 0) + cnt
+            if value is not None:
+                degrees[value] = degrees.get(value, 0) + tw.degree_above(base_height)
+    if any(d % red for d in degrees.values()):
+        raise AssertionError("pair degree not divisible by representation redundancy")
+    out = {value: d // red for value, d in degrees.items()}
+    total = sum(out.values())
+    want = b1.conjugacy * (b1.conjugacy - 1 if self_pair else b2.conjugacy)
+    if total < want:
+        raise PrecisionError(f"{want - total} of {want} pairs agree to their truncation")
+    if total > want:
+        raise AssertionError(f"pair count {total} > {want}")
     return out
 
 
@@ -257,11 +251,10 @@ def branch_intersection(
     b1: PuiseuxBranch,
     b2: PuiseuxBranch,
     base_height: int = 0,
-    max_contact: int | None = None,
 ) -> int:
     """Intersection multiplicity of two distinct branches (a single number;
     conjugate families whose pairs differ raise AmbiguousPairingError)."""
-    values = pair_intersection_values(b1, b2, base_height, max_contact)
+    values = pair_intersection_values(b1, b2, base_height)
     if not values:
         raise ValueError("branches coincide (no distinct pairs)")
     if len(values) > 1:
@@ -272,12 +265,17 @@ def branch_intersection(
 # -- type assembly from an expansion ----------------------------------------------
 
 
-def _assemble_type(
-    branches: list[PuiseuxBranch],
-    base_height: int,
-    max_contact: int | None,
-) -> EquisingularityType:
+def _assemble_type(branches: list[PuiseuxBranch], base_height: int) -> EquisingularityType:
     """Build the canonical type of a germ from its tower-valued branches."""
+
+    def values(bi, bj):
+        try:
+            return pair_intersection_values(bi, bj, base_height)
+        except PrecisionError as exc:
+            # an expansion truncates each branch after the term that
+            # determines it, so no two of them agree to their truncation
+            raise AssertionError(f"expansion branches agree to their truncation: {exc}") from exc
+
     groups = branches
     sgs = [semigroup_of_branch(b) for b in groups]
     sizes = [b.conjugacy for b in groups]
@@ -296,12 +294,7 @@ def _assemble_type(
     for i, bi in enumerate(groups):
         ci = sizes[i]
         if ci >= 2:
-            vals = pair_intersection_values(bi, None, base_height, max_contact)
-            total = sum(vals.values())
-            if total != ci * (ci - 1):
-                raise AssertionError(
-                    f"self-pair count {total} != {ci * (ci - 1)} for {bi!r}"
-                )
+            vals = values(bi, None)
             if len(vals) != 1:
                 raise AmbiguousPairingError(
                     f"conjugates of one branch family meet at different orders: {vals}"
@@ -314,10 +307,7 @@ def _assemble_type(
         for j in range(i + 1, len(groups)):
             bj = groups[j]
             cj = sizes[j]
-            vals = pair_intersection_values(bi, bj, base_height, max_contact)
-            total = sum(vals.values())
-            if total != ci * cj:
-                raise AssertionError(f"cross-pair count {total} != {ci * cj}")
+            vals = values(bi, bj)
             if len(vals) == 1:
                 v = next(iter(vals))
                 for a in range(ci):
@@ -351,18 +341,17 @@ def _assemble_type(
 def equisingularity_type(
     f: BivariatePolynomial,
     rng: random.Random | None = None,
-    check_milnor: bool = True,
 ) -> EquisingularityType:
     """Canonical equisingularity type of a reduced germ.
 
     Fast path: Newton non-degenerate germs are read off the polygon by the
-    decomposition theorem.  Otherwise the germ is expanded into branches and
-    assembled with pairwise intersections; precision shortfalls double the
-    expansion target (three retries).  Germs with a branch tangent to x = 0
-    (a side of inclination < 1, or an x-factor) are sheared x -> x + sigma*y
-    first, which changes nothing topologically.  The result is cross-checked
-    against the Milnor number of the (sheared) germ.  A germ with f(0,0) != 0
-    has no curve at the origin and gets the empty type.
+    decomposition theorem.  Otherwise the germ is expanded once to
+    mu + deg_y + 4 and assembled with pairwise intersections, whose counts
+    certify that the expansion separates every branch.  Germs with a branch
+    tangent to x = 0 (a side of inclination < 1, or an x-factor) are sheared
+    x -> x + sigma*y first, which changes nothing topologically.  The result
+    is cross-checked against the Milnor number of the (sheared) germ.  A
+    germ with f(0,0) != 0 has no curve at the origin and gets the empty type.
     """
     if (0, 0) in f.terms:
         return EquisingularityType.of([], [])
@@ -397,30 +386,15 @@ def equisingularity_type(
     if core.support() == [(0, 0)]:  # the germ was the y-axis alone
         return EquisingularityType.single(semigroup_from_generators([1]))
 
-    mu = milnor_number(work) if check_milnor else None
+    mu = milnor_number(work)
 
     if is_newton_nondegenerate(core):
         t = nondegenerate_type(newton_polygon(g))
     else:
         base = _base_tower(g)
-        base_height = base.height if base is not None else 0
-        mu_g = mu if mu is not None else milnor_number(work)
-        deg = g.degree_y()
-        target = mu_g + deg + 4
-        max_contact = mu_g + deg + 1
-        last: Exception | None = None
-        t = None
-        for _retry in range(4):
-            try:
-                branches = puiseux_expand(g, target_order=target)
-                t = _assemble_type(branches, base_height, max_contact)
-                break
-            except PrecisionError as exc:
-                last = exc
-                target *= 2
-        if t is None:
-            raise PrecisionError(f"truncation exhausted assembling the type: {last}")
-    if check_milnor and t.milnor_number() != mu:
+        branches = puiseux_expand(g, target_order=mu + g.degree_y() + 4)
+        t = _assemble_type(branches, base.height if base is not None else 0)
+    if t.milnor_number() != mu:
         raise AssertionError(
             f"assembled type has mu = {t.milnor_number()}, resultant gives {mu}"
         )

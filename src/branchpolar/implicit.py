@@ -12,9 +12,10 @@ the result is the monic degree-n Weierstrass polynomial vanishing on the
 branch, and that vanishing is checked.
 
 The Milnor number mu = I_0(f_x, f_y) is read off one resultant: when the
-y-leading coefficient of f is constant, ord_x Res_y(f_x, f_y) is the sum of
-the intersection numbers I_p(f_x, f_y) over the points p of the line x = 0
-(Casas-Alvero, *Singularities of Plane Curves*, 2000, ch. 1-2).
+y-leading coefficient of f is a unit (nonzero at x = 0), ord_x Res_y(f_x, f_y)
+is the sum of the intersection numbers I_p(f_x, f_y) over the points p of
+the line x = 0 (Casas-Alvero, *Singularities of Plane Curves*, 2000,
+ch. 1-2).
 """
 
 from __future__ import annotations
@@ -104,8 +105,10 @@ def milnor_number(f: BivariatePolynomial, rng: random.Random | None = None) -> i
     """mu = ord_x Res_y(g_x, g_y) for g = f, or for a shear
     g = f(x + sigma y, y) when f itself does not qualify.
 
-    With lc_y(g) constant, ord_x Res_y(g_x, g_y) is the sum of the local
-    intersection numbers I_p(g_x, g_y) over the points p on the line x = 0.
+    With lc_y(g) a unit, ord_x Res_y(g_x, g_y) is the sum of ord_x g_x(x, beta)
+    over the roots beta of g_y.  Those roots stay bounded, since lc_y(g_y)
+    does not vanish at x = 0, so the sum is that of the local intersection
+    numbers I_p(g_x, g_y) over the points p on the line x = 0.
     The locality condition -- y = 0 is the only common root of g_x(0, y)
     and g_y(0, y), decided exactly by a gcd -- leaves p = 0 alone in that
     sum, and I_0(g_x, g_y) = mu.  Both conditions are met by f or by all
@@ -123,9 +126,9 @@ def milnor_number(f: BivariatePolynomial, rng: random.Random | None = None) -> i
         rng = random.Random(20260810)
     g = f
     for _ in range(6):
-        if g.coefficient_of_y(g.degree_y()).support() == [(0, 0)]:
+        if (0, 0) in g.coefficient_of_y(g.degree_y()).terms:
             if g.degree_y() <= 1:
-                return 0  # g = c y + b(x) with c constant: no critical point
+                return 0  # g = c(x) y + b(x) with c(0) != 0: no critical point
             gx, gy = g.derivative_x(), g.derivative_y()
             if _origin_alone_on_y_axis(gx, gy):
                 break

@@ -11,6 +11,14 @@ the ramifications e multiply up into the final substitution x = t^N.  A level
 is named after its position, r<height>, so expanding one germ twice gives
 equal towers; a level is identified by its name and minimal polynomial.
 
+Every germ in the recursion carries its known precision K: it is correct
+modulo x^K, and K = None means exact.  The input germ is exact.  Recentering
+by x = x1^e, y = x1^q (z + y1) sends the unknown terms x^i y^j, i >= K, to
+x1^(e*K - lvl) and above (lvl the x1-order divided out), and dropping the
+terms above x1^budget caps K at budget + 1.  A simple root of a germ known
+modulo x^K is determined modulo x^K, so the Newton solve claims validity at
+most K; a y-axis root likewise.
+
 The Newton solve follows two precision rules.  A step to t^prec inverts
 f_y only mod t^(prec - h), where h is the measured order of the residual.
 The solve runs one term past its validity order w, and a nonzero t^w term
@@ -56,14 +64,14 @@ def _base_tower(f: BivariatePolynomial) -> Tower | None:
     return None
 
 
-def puiseux_expand(
-    f: BivariatePolynomial,
-    target_order: int | None = None,
-    retries: int = 3,
-) -> list[PuiseuxBranch]:
+_DOUBLINGS = 3  # budget doublings before a precision shortfall is final
+
+
+def puiseux_expand(f: BivariatePolynomial, target_order: int | None = None) -> list[PuiseuxBranch]:
     """All branches of a reduced germ f through the origin, as
     :class:`PuiseuxBranch` values expanded at least to ``target_order``
-    and until every branch's semigroup is resolved.
+    and until every branch's semigroup is resolved; a precision shortfall
+    doubles the budget, at most ``_DOUBLINGS`` times.
 
     Raises NotReducedError for germs with multiple components, ValueError
     for x-axis factors (those cannot be written as x = t^n) and for germs
@@ -83,7 +91,7 @@ def puiseux_expand(
     if target_order is None:
         mu = milnor_number(f)
         # pairwise contacts are bounded by (mu + r - 1)/2, so mu + deg + a
-        # small margin resolves semigroups and contacts; retries double it
+        # small margin resolves semigroups and contacts
         target_order = mu + deg + 4
         max_depth = (mu + deg) // 2 + 2
     else:
@@ -91,7 +99,7 @@ def puiseux_expand(
 
     budget = target_order
     last_exc: Exception | None = None
-    for _attempt in range(retries + 1):
+    for _attempt in range(_DOUBLINGS + 1):
         try:
             branches = _expand_all(f, base, base_height, budget, max_depth)
             for b in branches:
@@ -102,7 +110,7 @@ def puiseux_expand(
         except PrecisionError as exc:
             last_exc = exc
             budget *= 2
-    raise PrecisionError(f"truncation exhausted after {retries} retries: {last_exc}")
+    raise PrecisionError(f"truncation exhausted after {_DOUBLINGS} doublings: {last_exc}")
 
 
 def _expand_all(f, base, base_height, budget, max_depth) -> list[PuiseuxBranch]:
@@ -110,7 +118,7 @@ def _expand_all(f, base, base_height, budget, max_depth) -> list[PuiseuxBranch]:
         return poly.project(tw)
 
     def compute(tw, poly):
-        states = _expand_germ(poly, tw if tw.height else None, budget, 0, max_depth, True)
+        states = _expand_germ(poly, tw if tw.height else None, budget, 0, max_depth, None)
         out = []
         for stw, n, terms, valid in states:
             for c in terms.values():
@@ -132,15 +140,15 @@ def _expand_all(f, base, base_height, budget, max_depth) -> list[PuiseuxBranch]:
     return [b for _tw, bs in results for b in bs]
 
 
-def _expand_germ(f, tower, budget, depth, max_depth, complete):
+def _expand_germ(f, tower, budget, depth, max_depth, known):
     """Recursive side expansion; yields states (tower, N, terms, valid_order)
     where the terms parametrize y(t) with x = t^N correct modulo
-    t^valid_order (None = exact).  ``complete`` is False when f is a germ
-    known only modulo x^(budget+1): no state of it is then claimed exact."""
+    t^valid_order (None = exact).  f is known modulo x^known (None = exact);
+    no state of an inexact germ is claimed exact."""
     states = []
     q, f = f.strip_y_power()
     if q >= 2:
-        if not complete:
+        if known is not None:
             # puiseux_expand certified f reduced: the truncation dropped the
             # terms that keep y^2 from dividing the germ
             raise PrecisionError("y^2 divides the truncated germ")
@@ -151,27 +159,27 @@ def _expand_germ(f, tower, budget, depth, max_depth, complete):
             raise NotReducedError("x-power appeared inside the expansion")
         sides = newton_polygon(f).sides
     if q == 1:
-        valid = None if complete else _axis_validity(f, sides, budget)
+        valid = None if known is None else _axis_validity(f, sides, known)
         states.append((tower if tower is not None else Tower(), 1, {}, valid))
     for side in sides:
-        states.extend(_expand_side(f, side, tower, budget, depth, max_depth, complete))
+        states.extend(_expand_side(f, side, tower, budget, depth, max_depth, known))
     return states
 
 
-def _axis_validity(f, sides, budget) -> int:
+def _axis_validity(f, sides, known) -> int:
     """Validity order of the root y = 0 of y*f when y*f is known only
-    modulo x^(budget+1).  The dropped terms add at worst x^(budget+1) to the
-    coefficient of y^0, so the true root is O(x^(budget+1-k)) with
+    modulo x^known.  The unknown terms add at worst x^known to the
+    coefficient of y^0, so the true root is O(x^(known-k)) with
     k = ord_x f(x, 0), as long as that order exceeds the inclination of
     every side of f (the y-axis side then stays a side of the true germ)."""
     k = BivariatePolynomial({(i, 0): c for (i, j), c in f.terms.items() if j == 0}).x_order()
-    valid = budget + 1 - k
+    valid = known - k
     if any(side.inclination >= valid for side in sides):
         raise PrecisionError("the y-axis root is undetermined at this truncation")
     return valid
 
 
-def _expand_side(f, side, tower, budget, depth, max_depth, complete):
+def _expand_side(f, side, tower, budget, depth, max_depth, known):
     n_l, m_l = side.height, side.width
     r = gcd(n_l, m_l)
     # inclination d = m_l/n_l = qx/e in lowest terms drives the recentering
@@ -191,18 +199,16 @@ def _expand_side(f, side, tower, budget, depth, max_depth, complete):
         # the recentering raises every final validity by q*N_child >= qx, so
         # the child only needs the budget shrunk by qx
         child_budget = max(budget - qx, 4)
-        f2, kept_all = _recenter(f, e, qx, root, child_budget)
+        f2, known2 = _recenter(f, e, qx, root, child_budget, known)
         if mult == 1:
-            terms, valid = _regular_solve(f2, child_budget, complete and kept_all)
+            terms, valid = _regular_solve(f2, child_budget, known2)
             children = [(tower2 if tower2 is not None else Tower(), 1, terms, valid)]
         else:
             if depth + 1 > max_depth:
                 raise NotReducedError(
                     "repeated side-polynomial root persists beyond the delta bound"
                 )
-            children = _expand_germ(
-                f2, tower2, child_budget, depth + 1, max_depth, complete and kept_all
-            )
+            children = _expand_germ(f2, tower2, child_budget, depth + 1, max_depth, known2)
         for tw3, n_c, terms_c, valid in children:
             root3 = project_value(root, tw3 if tw3.height else None)
             n_total = e * n_c
@@ -216,20 +222,21 @@ def _expand_side(f, side, tower, budget, depth, max_depth, complete):
     return out
 
 
-def _recenter(f, e, q, root, budget):
+def _recenter(f, e, q, root, budget, known):
     """f(x1^e, x1^q (root + y1)) divided by its x1-power, truncated in x1
-    above x1^budget; also returns whether no term was dropped."""
+    above x1^budget; also returns the known precision of the result, from
+    that of f (``known``, None = exact) and from the dropped terms."""
     lvl = min(e * i + q * j for (i, j) in f.terms)
+    known2 = None if known is None else e * known - lvl
     maxj = f.degree_y()
     rpow = [Fraction(1)]
     for _ in range(maxj):
         rpow.append(rpow[-1] * root)
     terms: dict = {}
-    kept_all = True
     for (i, j), c in f.terms.items():
         base = e * i + q * j - lvl
         if base > budget:
-            kept_all = False
+            known2 = budget + 1 if known2 is None else min(known2, budget + 1)
             continue
         for k in range(j + 1):
             key = (base, k)
@@ -240,16 +247,17 @@ def _recenter(f, e, q, root, budget):
                 terms.pop(key, None)
             else:
                 terms[key] = add
-    return BivariatePolynomial(terms), kept_all
+    return BivariatePolynomial(terms), known2
 
 
-def _regular_solve(f, budget, complete) -> tuple[dict, int | None]:
+def _regular_solve(f, budget, known) -> tuple[dict, int | None]:
     """Solve f(x, y(x)) = 0 with y(0) = 0 at a simple root: f(0,0) = 0 and
     d f/d y (0,0) a unit.  Newton iteration with precision doubling; the
     quadratic convergence certifies each doubled validity order.  Returns
     the terms below w = budget + 1 and the validity order w (None when
-    those terms are an exact solution; never when f is not ``complete``,
-    that is, known only modulo x^(budget+1)).
+    those terms are an exact solution).  When f is known only modulo
+    x^known, so is its root: the budget is capped at known - 1, and the
+    solution is never claimed exact.
 
     Two precision rules keep the work to what the certificate needs:
 
@@ -261,6 +269,10 @@ def _regular_solve(f, budget, complete) -> tuple[dict, int | None]:
       truncation below w is not a polynomial root.  The iteration runs to
       t^(w+1), and f is evaluated exactly only when that term vanishes.
     """
+    if known is not None:
+        if known < 2:
+            raise PrecisionError("the germ is known to too low an order")
+        budget = min(budget, known - 1)
     w = budget + 1
     fy = f.derivative_y()
     d0 = fy.terms.get((0, 0), Fraction(0))
@@ -280,7 +292,7 @@ def _regular_solve(f, budget, complete) -> tuple[dict, int | None]:
         k = prec - num.min_exponent()
         den = evaluate_bivariate(fy, xs, ycur.truncate(k)).truncate(k)
         y = (ycur - num * den.inverse(k)).truncate(prec).declare_trunc(prec)
-    if w in y.terms or not complete:
+    if w in y.terms or known is not None:
         return dict(y.truncate(w).terms), w
     exact = evaluate_bivariate(f, xs, y.declare_trunc(None)).is_exact_zero
     return dict(y.terms), None if exact else w

@@ -17,11 +17,13 @@ from branchpolar.equising import (
     random_direction,
     stratum_sweep,
 )
+from branchpolar.errors import PrecisionError
 from branchpolar.families import gamma_5_12
 from branchpolar.implicit import implicitize, milnor_number, polar
 from branchpolar.poly import BivariatePolynomial as BP
 from branchpolar.puiseux import puiseux_expand
 from branchpolar.semigroup import semigroup_from_generators
+from branchpolar.tower import Tower
 from oracles import self_pair_values_carved
 
 
@@ -68,6 +70,33 @@ def test_branch_intersection_vs_implicit_composition():
     via_pairs = branch_intersection(b1, b2)
     via_composition = intersection_multiplicity(b1, implicitize(b2))
     assert via_pairs == via_composition
+
+
+def test_pair_count_when_the_zeta_level_splits():
+    # over Q(s), s^2 = -3, the cube roots of unity are already in the base,
+    # so zeta's level splits into two components; the one pair is counted
+    # once, not once per component
+    tower = Tower().adjoin("s", (F(3), F(0), F(1)))
+    w = (tower.generator(1) - 1) * F(1, 2)  # a primitive cube root of unity
+    b1 = PuiseuxBranch.from_terms(3, {4: F(1), 5: F(1)})
+    b2 = PuiseuxBranch.from_terms(3, {4: w, 7: tower.from_rational(1)})
+    assert pair_intersection_values(b1, b2, 1) == {13: 1}
+    assert intersection_multiplicity(b1, implicitize(b2)) == 13
+
+
+def test_pairs_that_agree_to_their_truncation_are_a_shortfall():
+    b = PuiseuxBranch(1, ((2, F(1)),), 4)
+    with pytest.raises(PrecisionError):
+        pair_intersection_values(b, PuiseuxBranch(1, ((2, F(1)),), 4))
+    b1 = PuiseuxBranch(1, ((2, F(1)), (5, F(1))), 6)
+    b2 = PuiseuxBranch(1, ((2, F(1)), (5, F(2))), 6)
+    assert pair_intersection_values(b1, b2) == {5: 1}
+
+
+def test_identical_exact_branches_are_an_internal_error():
+    e = PuiseuxBranch.from_terms(2, {3: F(1)})
+    with pytest.raises(AssertionError, match="identical"):
+        branch_intersection(e, e)
 
 
 def test_canonicalization_idempotent_and_order_free():
@@ -205,7 +234,7 @@ def test_genus2_fixture_type():
 
 def _conjugate_families(p):
     """(branch, max_contact) for every branch of p's expansion that stands
-    for two or more conjugates; max_contact as in equisingularity_type."""
+    for two or more conjugates; max_contact is for the carved-tower oracle."""
     max_contact = milnor_number(p) + p.degree_y() + 1
     return [(b, max_contact) for b in puiseux_expand(p) if b.conjugacy >= 2]
 
@@ -216,7 +245,7 @@ def _self_pairs_match_oracle(p) -> list[tuple[int, int, int]]:
     geometric branch) of the families checked."""
     checked = []
     for b, max_contact in _conjugate_families(p):
-        vals = pair_intersection_values(b, None, 0, max_contact)
+        vals = pair_intersection_values(b, None)
         assert vals == self_pair_values_carved(b, 0, max_contact)
         assert sum(vals.values()) == b.conjugacy * (b.conjugacy - 1)
         t = b.tower()
@@ -235,11 +264,11 @@ def test_pair_values_for_three_conjugates():
     families = _conjugate_families(_y4_x13_polar())
     assert len(families) == 1 and families[0][0].conjugacy == 3
     b, max_contact = families[0]
-    vals = pair_intersection_values(b, None, 0, max_contact=40)
+    vals = pair_intersection_values(b, None)
     assert vals == {4: 6} == self_pair_values_carved(b, 0, max_contact)
 
 
-def test_self_pairs_of_a_truncated_family_need_no_max_contact():
+def test_self_pairs_of_a_truncated_family_split_off_the_diagonal():
     # the diagonal is split off exactly, so no pair of equal tuples is
     # ever compared at the truncation
     b, _ = _conjugate_families(_y4_x13_polar())[0]

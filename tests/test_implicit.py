@@ -119,7 +119,7 @@ def test_milnor_matches_two_shear_oracle():
 )
 def test_milnor_matches_two_shear_oracle_after_x_shear(n, terms):
     # an exponent divisible by n puts x-terms into the y^(n-1) coefficients
-    # of the polars, which must be sheared y-general first
+    # of the polars: their y-leading coefficient is a unit, not a constant
     b = PuiseuxBranch.from_terms(n, terms)
     f = implicitize(b)
     rng = random.Random(n)
@@ -127,6 +127,20 @@ def test_milnor_matches_two_shear_oracle_after_x_shear(n, terms):
         p = polar(f, *random_direction(rng))
         assert p.coefficient_of_y(p.degree_y()).support() != [(0, 0)]
         assert milnor_number(p) == milnor_number_two_shears(p)
+
+
+def test_unit_leading_coefficient_needs_no_shear(monkeypatch):
+    # 6 | 24, so the polars of this branch have a non-constant y-leading
+    # coefficient; it is a unit, and the unsheared resultant gives mu
+    b = PuiseuxBranch.from_terms(6, {23: F(-4), 24: F(-5)})
+    p = polar(implicitize(b), F(2), F(3))
+    assert p.coefficient_of_y(p.degree_y()).support() != [(0, 0)]
+
+    def no_shear(self, sigma):
+        raise AssertionError("milnor_number sheared a germ with a unit leading coefficient")
+
+    monkeypatch.setattr(BP, "shift_x", no_shear)
+    assert milnor_number(p) == 84
 
 
 def test_vanishing_and_weierstrass_shape():

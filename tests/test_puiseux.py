@@ -8,7 +8,8 @@ import pytest
 
 from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
 from branchpolar.equising import equisingularity_type
-from branchpolar.errors import NotReducedError
+from branchpolar.errors import NotReducedError, PrecisionError
+from branchpolar.families import gamma_5_12
 from branchpolar.implicit import implicitize, polar
 from branchpolar.newton import newton_polygon, nondegenerate_type
 from branchpolar.poly import BivariatePolynomial as BP
@@ -101,13 +102,11 @@ def test_oracle_agreement_polygon_vs_expansion():
         BP({(0, 2): F(3), (10, 0): F(-11)}),
     ]
     from branchpolar.equising import _assemble_type
-    from branchpolar.implicit import milnor_number
 
     for f in fixtures:
         t_polygon = nondegenerate_type(newton_polygon(f))
-        mu = milnor_number(f)
         branches = puiseux_expand(f)
-        t_puiseux = _assemble_type(branches, 0, mu + f.degree_y() + 1)
+        t_puiseux = _assemble_type(branches, 0)
         assert t_polygon == t_puiseux
 
 
@@ -163,7 +162,7 @@ def test_regular_solve_matches_full_precision_oracle(tower):
     for _ in range(40 if tower is None else 20):
         f = _regular_germ(rng, tower)
         budget = rng.randint(4, 14)
-        assert _regular_solve(f, budget, True) == regular_solve_full(f, budget)
+        assert _regular_solve(f, budget, None) == regular_solve_full(f, budget)
 
 
 @pytest.mark.parametrize("tower", [None, SQRT6], ids=["Q", "sqrt6"])
@@ -183,7 +182,7 @@ def test_regular_solve_polynomial_solution_boundaries(tower, degree, t_w):
     f = BP({(0, 1): F(1), **{(i, 0): -c for i, c in p.items()}}) * BP(
         {(0, 0): F(1), (1, 0): F(1), (0, 1): F(-2)}
     )
-    terms, validity = _regular_solve(f, budget, True)
+    terms, validity = _regular_solve(f, budget, None)
     assert terms == {i: c for i, c in p.items() if i < w}
     assert validity == (None if d < w else w)
     assert (terms, validity) == regular_solve_full(f, budget)
@@ -217,8 +216,15 @@ def test_truncated_solution_with_zero_top_term_is_not_exact():
     # a regular germ known only modulo x^(budget+1) whose solution has no
     # t^w term: the exact evaluation would certify the truncated germ only
     f = BP({(0, 1): F(1), (1, 0): F(-1)})
-    assert _regular_solve(f, 7, True) == ({1: F(1)}, None)
-    assert _regular_solve(f, 7, False) == ({1: F(1)}, 8)
+    assert _regular_solve(f, 7, None) == ({1: F(1)}, None)
+    assert _regular_solve(f, 7, 8) == ({1: F(1)}, 8)
+
+
+def test_regular_solve_claims_no_more_than_the_known_precision():
+    f = BP({(0, 1): F(1), (1, 0): F(-1), (3, 0): F(2)})
+    assert _regular_solve(f, 7, 3) == ({1: F(1)}, 3)
+    with pytest.raises(PrecisionError):
+        _regular_solve(f, 7, 1)
 
 
 def test_truncated_square_factor_is_a_precision_shortfall():
@@ -242,6 +248,19 @@ def test_recentered_y_axis_root_is_never_claimed_exact():
     axis, other = puiseux_expand(f, target_order=8)
     assert (dict(axis.y_terms), axis.trunc) == ({1: F(1)}, 7)
     assert (dict(other.y_terms), other.trunc) == ({1: F(1), 3: F(1)}, 9)
+
+
+def test_small_targets_respect_the_precision_lost_in_recentering():
+    # a row-18 wall polar whose germ, truncated at depth 0, is recentered
+    # again at depth 1: its terms from x^K up land at x1^(e*K - lvl) and
+    # above, so a branch may claim no validity beyond that known precision
+    b = gamma_5_12(18).branch({"c": F(-5, 4), "d": F(-5, 16), "e": F(1)})
+    p = polar(implicitize(b), F(-5, 12), F(6))
+    (full,) = puiseux_expand(p)
+    for target in range(1, 13):
+        (br,) = puiseux_expand(p, target_order=target)
+        assert br.trunc <= full.trunc
+        assert br.y_terms == tuple((e, c) for e, c in full.y_terms if e < br.trunc)
 
 
 def test_expanding_a_germ_twice_gives_identical_towers():
