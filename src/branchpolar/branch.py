@@ -161,9 +161,15 @@ def characteristic_exponents(b: PuiseuxBranch) -> list[int]:
 
 
 def semigroup_of_branch(b: PuiseuxBranch) -> NumericalSemigroup:
-    """Minimal generators from the characteristic exponents by the classical
-    recursion v_{k+1} = (e_{k-1}/e_k) v_k + beta_{k+1} - beta_k."""
-    betas = characteristic_exponents(b)
+    """The semigroup of values of a branch, from its characteristic
+    exponents."""
+    return characteristic_semigroup(characteristic_exponents(b))
+
+
+def characteristic_semigroup(betas) -> NumericalSemigroup:
+    """Minimal generators from characteristic exponents [beta_0 = n,
+    beta_1, ...] by the classical recursion
+    v_{k+1} = (e_{k-1}/e_k) v_k + beta_{k+1} - beta_k."""
     if len(betas) == 1:  # smooth: n == 1
         return semigroup_from_generators([1])
     vs = [betas[0], betas[1]]

@@ -1,7 +1,15 @@
-"""Equisingularity types of reduced germs and of general polar curves.
+"""Equisingularity types of reduced germs and of general polar curves, and
+intersection multiplicities of tower-valued branches.
 
-Pairwise intersection multiplicities are computed by sheet sums on a common
-ramification cover:
+The type of a germ is read off its Newton-polygon tree
+(:func:`~branchpolar.puiseux.puiseux_tree`): the branches' characteristic
+exponents give their semigroups, and the tree gives their intersection
+numbers.  Three checks certify it: the multiplicities add up to the number
+of y-roots through the origin, every semigroup passes the conductor
+formula, and the type's Milnor number equals the one from the resultant.
+
+Intersection multiplicities of two expanded branches are computed by sheet
+sums on a common ramification cover:
 
     I(b1, b2) = (n1 / L) * sum_{j < n2} ord_u( Y1(u^(L/n1)) - Y2(zeta^j u^(L/n2)) ),
 
@@ -38,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .branch import PuiseuxBranch, semigroup_of_branch
+from .branch import PuiseuxBranch, characteristic_semigroup, semigroup_of_branch
 from .eqtype import EquisingularityType
 from .errors import (
     AmbiguousPairingError,
@@ -48,10 +56,8 @@ from .errors import (
     PrecisionError,
 )
 from .implicit import implicitize, milnor_number, polar
-from .newton import is_newton_nondegenerate, newton_polygon, nondegenerate_type
 from .poly import BivariatePolynomial
-from .puiseux import puiseux_expand, _base_tower
-from .semigroup import semigroup_from_generators
+from .puiseux import _base_tower, puiseux_tree
 from .series import TruncatedSeries, evaluate_bivariate
 from .tower import (
     Tower,
@@ -110,6 +116,9 @@ def _cross_pair_setup(t1: Tower | None, t2: Tower | None, base_height: int):
         mp_s = t2.levels[s - 1].minpoly
         imgs = [cur.lift(g) for g in gens[: s - 1]]
         new_coeffs = [compose_element(cur, imgs, c, s - 1) for c in mp_s]
+        if len(new_coeffs) == 2:  # a split can leave a level linear: its root is explicit
+            gens[s - 1] = -new_coeffs[0]
+            continue
         cur = cur.adjoin(f"c{cur.height + 1}", [cur.lift(c).rep for c in new_coeffs])
         gens = [cur.lift(g) if g is not None else None for g in gens]
         gens[s - 1] = cur.generator(cur.height)
@@ -262,79 +271,6 @@ def branch_intersection(
     return next(iter(values))
 
 
-# -- type assembly from an expansion ----------------------------------------------
-
-
-def _assemble_type(branches: list[PuiseuxBranch], base_height: int) -> EquisingularityType:
-    """Build the canonical type of a germ from its tower-valued branches."""
-
-    def values(bi, bj):
-        try:
-            return pair_intersection_values(bi, bj, base_height)
-        except PrecisionError as exc:
-            # an expansion truncates each branch after the term that
-            # determines it, so no two of them agree to their truncation
-            raise AssertionError(f"expansion branches agree to their truncation: {exc}") from exc
-
-    groups = branches
-    sgs = [semigroup_of_branch(b) for b in groups]
-    sizes = [b.conjugacy for b in groups]
-    offs = []
-    pos = 0
-    for c in sizes:
-        offs.append(pos)
-        pos += c
-    n_geo = pos
-    semis = []
-    for sg, c in zip(sgs, sizes):
-        semis.extend([sg] * c)
-    mat = [[0] * n_geo for _ in range(n_geo)]
-
-    nonuniform_hits: dict[int, int] = {}
-    for i, bi in enumerate(groups):
-        ci = sizes[i]
-        if ci >= 2:
-            vals = values(bi, None)
-            if len(vals) != 1:
-                raise AmbiguousPairingError(
-                    f"conjugates of one branch family meet at different orders: {vals}"
-                )
-            v = next(iter(vals))
-            for a in range(ci):
-                for bq in range(a + 1, ci):
-                    mat[offs[i] + a][offs[i] + bq] = v
-                    mat[offs[i] + bq][offs[i] + a] = v
-        for j in range(i + 1, len(groups)):
-            bj = groups[j]
-            cj = sizes[j]
-            vals = values(bi, bj)
-            if len(vals) == 1:
-                v = next(iter(vals))
-                for a in range(ci):
-                    for bq in range(cj):
-                        mat[offs[i] + a][offs[j] + bq] = v
-                        mat[offs[j] + bq][offs[i] + a] = v
-            elif ci == 1 or cj == 1:
-                single, multi = (i, j) if ci == 1 else (j, i)
-                nonuniform_hits[multi] = nonuniform_hits.get(multi, 0) + 1
-                if nonuniform_hits[multi] > 1:
-                    raise AmbiguousPairingError(
-                        "multiple non-uniform pairings touch one conjugate family; "
-                        "assignment is undetermined from component data"
-                    )
-                expanded = []
-                for v, cnt in sorted(vals.items()):
-                    expanded.extend([v] * cnt)
-                for k, v in enumerate(expanded):
-                    mat[offs[single]][offs[multi] + k] = v
-                    mat[offs[multi] + k][offs[single]] = v
-            else:
-                raise AmbiguousPairingError(
-                    f"non-uniform pairing between conjugate families: {vals}"
-                )
-    return EquisingularityType.of(semis, mat)
-
-
 # -- the type of a reduced germ -------------------------------------------------------
 
 
@@ -342,16 +278,13 @@ def equisingularity_type(
     f: BivariatePolynomial,
     rng: random.Random | None = None,
 ) -> EquisingularityType:
-    """Canonical equisingularity type of a reduced germ.
+    """Canonical equisingularity type of a reduced germ, read off its
+    Newton-polygon tree and certified as the module docstring says.
 
-    Fast path: Newton non-degenerate germs are read off the polygon by the
-    decomposition theorem.  Otherwise the germ is expanded once to
-    mu + deg_y + 4 and assembled with pairwise intersections, whose counts
-    certify that the expansion separates every branch.  Germs with a branch
-    tangent to x = 0 (a side of inclination < 1, or an x-factor) are sheared
-    x -> x + sigma*y first, which changes nothing topologically.  The result
-    is cross-checked against the Milnor number of the (sheared) germ.  A
-    germ with f(0,0) != 0 has no curve at the origin and gets the empty type.
+    Germs with a branch tangent to x = 0 (an x-factor, or f(0, y) of higher
+    order than f) are sheared x -> x + sigma*y first, which changes nothing
+    topologically.  A germ with f(0,0) != 0 has no curve at the origin and
+    gets the empty type.
     """
     if (0, 0) in f.terms:
         return EquisingularityType.of([], [])
@@ -359,22 +292,13 @@ def equisingularity_type(
         rng = random.Random(97)
     work = f
     for attempt in range(8):
-        xp, g = work.strip_x_power()
-        if xp >= 2:
+        if work.x_power_divisor() >= 2:
             raise NotReducedError("x^2 divides the germ")
-        yq, core = g.strip_y_power()
-        if yq >= 2:
+        if work.y_power_divisor() >= 2:
             raise NotReducedError("y^2 divides the germ")
-        if core.support() == [(0, 0)]:
-            np_core = None
-        else:
-            np_core = newton_polygon(core)
-        needs_shear = xp == 1 or (
-            np_core is not None
-            and np_core.sides
-            and np_core.sides[0].inclination < 1
-        )
-        if not needs_shear:
+        # ord_y f(0, y), the number of y-roots through the origin
+        roots = min((j for (i, j) in work.terms if i == 0), default=None)
+        if roots == min(i + j for (i, j) in work.terms):
             break
         sigma = Fraction(rng.randint(1, 100), rng.randint(1, 100))
         if rng.randint(0, 1):
@@ -383,20 +307,16 @@ def equisingularity_type(
     else:
         raise GenericityError("could not shear away branches tangent to x = 0")
 
-    if core.support() == [(0, 0)]:  # the germ was the y-axis alone
-        return EquisingularityType.single(semigroup_from_generators([1]))
-
     mu = milnor_number(work)
-
-    if is_newton_nondegenerate(core):
-        t = nondegenerate_type(newton_polygon(g))
-    else:
-        base = _base_tower(g)
-        branches = puiseux_expand(g, target_order=mu + g.degree_y() + 4)
-        t = _assemble_type(branches, base.height if base is not None else 0)
+    branches, mat = puiseux_tree(work, mu + work.degree_y() + 4)
+    t = EquisingularityType.of([characteristic_semigroup(b) for b in branches], mat)
+    # the ramification sum: the Newton polygon's height plus a y-factor
+    total = sum(b[0] for b in branches)
+    if total != roots:
+        raise AssertionError(f"ramification sum {total} != y-root count {roots}")
     if t.milnor_number() != mu:
         raise AssertionError(
-            f"assembled type has mu = {t.milnor_number()}, resultant gives {mu}"
+            f"tree type has mu = {t.milnor_number()}, resultant gives {mu}"
         )
     return t
 

@@ -1,5 +1,5 @@
 """Newton polygons of curve germs, side polynomials, non-degeneracy, and the
-equisingularity type of Newton non-degenerate germs.
+intersection rule at one node of the Newton-polygon tree.
 
 For a germ with x and y stripped off, the compact Newton boundary runs from
 the point (0, h) on the j-axis to (w, 0) on the i-axis.  A side L with
@@ -12,7 +12,8 @@ of degree n_L with nonzero constant term.  The germ is Newton non-degenerate
 when every p_L is squarefree; its equisingularity type is then pure polygon
 combinatorics: side i contributes gcd(n_i, m_i) branches with Newton pair
 (n_i/r_i, m_i/r_i), and branches on sides i, i' meet with multiplicity
-inf(d_i, d_i') (n_i/r_i)(n_i'/r_i').
+inf(d_i, d_i') (n_i/r_i)(n_i'/r_i') (:func:`join_clusters`, which the
+Newton-Puiseux tree applies at every node).
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .branch import characteristic_semigroup
 from .errors import AxisFactorError
 from .eqtype import EquisingularityType
 from .poly import BivariatePolynomial
-from .semigroup import NumericalSemigroup, semigroup_from_generators
 from .tower import Value
 from .unipoly import is_squarefree, ustrip
 
@@ -49,12 +50,9 @@ class Side:
     def inclination(self) -> Fraction:
         return Fraction(self.width, self.height)
 
-    @property
-    def branch_count(self) -> int:
-        return gcd(self.height, self.width)
-
     def newton_pair(self) -> tuple[int, int]:
-        r = self.branch_count
+        """(e, q) with q/e the inclination in lowest terms."""
+        r = gcd(self.height, self.width)
         return self.height // r, self.width // r
 
     def __repr__(self):
@@ -135,55 +133,64 @@ def is_newton_nondegenerate(f: BivariatePolynomial) -> bool:
     return all(is_squarefree(list(s.side_polynomial)) for s in np.sides)
 
 
+def join_clusters(clusters) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Branches and intersection matrix of a germ from its clusters at one
+    node of the Newton-polygon tree.
+
+    A cluster ``(s, branches, inner)`` holds the branches whose Puiseux
+    roots start with one root of one side polynomial: ``s`` is that side's
+    inclination (None for the root y = 0, which counts as s = infinity),
+    ``branches`` their characteristic exponents (n, beta_1, ...) and
+    ``inner`` their intersection matrix one node down (zero for a single
+    branch).  Branches A and B meet with multiplicity
+    min(s_A, s_B) n_A n_B, plus inner[A][B] when they share a cluster.
+    """
+    branches = []
+    where = []  # (cluster index, inclination, index inside the cluster)
+    for k, (s, bs, _inner) in enumerate(clusters):
+        for i, b in enumerate(bs):
+            branches.append(b)
+            where.append((k, s, i))
+    r = len(branches)
+    mat = [[0] * r for _ in range(r)]
+    for a in range(r):
+        ka, sa, ia = where[a]
+        for b in range(a + 1, r):
+            kb, sb, ib = where[b]
+            s = sb if sa is None else sa if sb is None else min(sa, sb)
+            val = s * branches[a][0] * branches[b][0]
+            if ka == kb:
+                val += clusters[ka][2][ia][ib]
+            if val.denominator != 1:
+                raise ValueError("non-integral intersection from polygon data")
+            mat[a][b] = mat[b][a] = int(val)
+    return branches, mat
+
+
 def nondegenerate_type(np: NewtonPolygon) -> EquisingularityType:
     """Equisingularity type of a Newton non-degenerate germ from its polygon.
 
     Side i of height n_i and width m_i carries r_i = gcd(n_i, m_i) branches
-    with semigroup <n_i/r_i, m_i/r_i> (smooth when the reduced height is 1);
-    pairwise intersections follow the inf-of-inclinations formula, applied
-    with d_i = d_{i'} for distinct branches on one side.  Stripped axis
-    factors re-enter as smooth branches: x^p (resp. y^q) meets a side branch
-    with multiplicity n_i/r_i (resp. m_i/r_i), and I(x, y) = 1.
+    with semigroup <n_i/r_i, m_i/r_i> (smooth when the reduced height is 1),
+    each a cluster of its own for :func:`join_clusters`, as is a stripped
+    y-factor.  A stripped x-factor re-enters as a smooth branch meeting each
+    branch x = t^n, y = y(t) with multiplicity n.
     """
     if np.x_mult > 1 or np.y_mult > 1:
         raise ValueError("axis factor with multiplicity: germ not reduced")
-    branches: list[NumericalSemigroup] = []
-    meta: list[tuple[str, Fraction, int, int]] = []  # kind, inclination, n', m'
-    if np.x_mult:
-        branches.append(semigroup_from_generators([1]))
-        meta.append(("x", Fraction(0), 0, 1))
+    clusters = [(None, [(1,)], [[0]])] * np.y_mult
     for s in np.sides:
         if s.height <= 0 or s.width <= 0:
             raise ValueError(f"inconsistent side data {s!r}")
-        nn, mm = s.newton_pair()
-        for _ in range(s.branch_count):
-            if nn == 1:
-                branches.append(semigroup_from_generators([1]))
-            else:
-                branches.append(semigroup_from_generators([nn, mm]))
-            meta.append(("side", s.inclination, nn, mm))
-    if np.y_mult:
-        branches.append(semigroup_from_generators([1]))
-        meta.append(("y", None, 1, 0))
-    r = len(branches)
-    if r == 0:
+        e, q = s.newton_pair()
+        branch = (e, q) if e > 1 else (1,)
+        clusters.extend([(s.inclination, [branch], [[0]])] * (s.height // e))
+    branches, mat = join_clusters(clusters)
+    if np.x_mult:
+        mat = [[0] + [b[0] for b in branches]] + [
+            [b[0]] + row for b, row in zip(branches, mat)
+        ]
+        branches = [(1,)] + branches
+    if not branches:
         raise ValueError("empty polygon: no branches")
-    mat = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            ki, di, ni, mi = meta[i]
-            kj, dj, nj, mj = meta[j]
-            if ki == "x" or kj == "x":
-                other = meta[j] if ki == "x" else meta[i]
-                val = 1 if (ki == "x" and kj == "y") or (kj == "x" and ki == "y") else other[2]
-            elif ki == "y" or kj == "y":
-                other = meta[j] if ki == "y" else meta[i]
-                val = other[3]  # ord_t y(t) = m'
-            else:
-                d = min(di, dj)
-                val = d * ni * nj
-                if val.denominator != 1:
-                    raise ValueError("non-integral intersection from polygon data")
-                val = int(val)
-            mat[i][j] = mat[j][i] = val
-    return EquisingularityType.of(branches, mat)
+    return EquisingularityType.of([characteristic_semigroup(b) for b in branches], mat)

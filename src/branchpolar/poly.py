@@ -78,9 +78,6 @@ class BivariatePolynomial:
     def degree_y(self) -> int:
         return max((j for _, j in self.terms), default=-1)
 
-    def degree_x(self) -> int:
-        return max((i for i, _ in self.terms), default=-1)
-
     def coefficient_of_y(self, j: int) -> "BivariatePolynomial":
         return BivariatePolynomial(
             {(i, 0): c for (i, jj), c in self.terms.items() if jj == j}

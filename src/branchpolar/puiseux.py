@@ -1,58 +1,66 @@
-"""Newton-Puiseux expansion of a reduced germ into tower-valued branches.
+"""Newton-Puiseux expansion of a reduced germ, and its Newton-polygon tree.
 
-For each compact side of the Newton polygon, the side polynomial is
-squarefree-factored over the current tower (Yun's algorithm under dynamic
-evaluation), each factor is adjoined as a single root, and the germ is
-recentered by x = x1^e, y = x1^q (z + y1) with d = m/n = q/e in lowest
-terms.  Simple roots continue as regular implicit-function solutions by a
-quadratically convergent Newton iteration on truncated series; multiple
-roots recurse on the transformed germ.  Fractional exponents never appear:
-the ramifications e multiply up into the final substitution x = t^N.  A level
+Both walk the same tree.  At a node, each compact side of the Newton polygon
+with inclination d = m/n = q/e in lowest terms has a side polynomial
+p(z) = P(z^e); it is squarefree-factored over the current tower (Yun's
+algorithm under dynamic evaluation), and where a root of a factor of degree
+>= 2 is needed, one root is adjoined as a new level.  Fractional exponents never appear: the
+ramifications e multiply up into the final substitution x = t^N.  A level
 is named after its position, r<height>, so expanding one germ twice gives
 equal towers; a level is identified by its name and minimal polynomial.
 
+:func:`puiseux_expand` recenters by x = x1^e, y = x1^q (z + y1) at a root z
+of p.  Simple roots continue as regular implicit-function solutions by a
+quadratically convergent Newton iteration on truncated series; multiple
+roots recurse on the transformed germ.  Conjugate branches are never
+separated: a finished branch whose tower has relative degree D over the
+expansion base represents D / N geometric branches (N its ramification),
+since the side polynomial is invariant under z -> zeta z for zeta^e = 1 and
+each geometric branch occurs once per reparametrization t -> zeta t.
+
+:func:`puiseux_tree` reads the type data off the tree alone: the
+characteristic exponents and the intersection numbers of the branches.
+A root w of a simple factor of P is one branch of multiplicity e; a
+repeated factor adjoins one root w and recenters by Duval's substitution
+x = w^a x1^e, y = x1^q (w^b + y1) with b e - a q = 1 (Duval, "Rational
+Puiseux expansions", Compositio Math. 70, 1989), so each root of P is
+exactly one cluster of branches, with no t -> zeta t redundancy.  Every
+polygon-vertex coefficient is classified, so a zero divisor splits the
+tower before it can distort a polygon.
+
+Each node that adjoins a level catches the splits of that level
+(``over_components`` with ``min_stage`` its base height) and reruns its
+child in the component's prefix tower; splits of lower levels propagate to
+the node that adjoined them.
+
 Every germ in the recursion carries its known precision K: it is correct
 modulo x^K, and K = None means exact.  The input germ is exact.  Recentering
-by x = x1^e, y = x1^q (z + y1) sends the unknown terms x^i y^j, i >= K, to
-x1^(e*K - lvl) and above (lvl the x1-order divided out), and dropping the
-terms above x1^budget caps K at budget + 1.  A simple root of a germ known
-modulo x^K is determined modulo x^K, so the Newton solve claims validity at
-most K; a y-axis root likewise.
+by x = lambda x1^e, y = x1^q (z + y1) sends the unknown terms x^i y^j,
+i >= K, to x1^(e*K - lvl) and above (lvl the x1-order divided out), and
+dropping the terms above x1^budget caps K at budget + 1.  A simple root of a
+germ known modulo x^K is determined modulo x^K, so the Newton solve claims
+validity at most K; a y-axis root likewise.  A tree node needs its whole
+Newton polygon, so its last vertex must lie below x^K.  A precision
+shortfall doubles the budget, at most ``_DOUBLINGS`` times.
 
 The Newton solve follows two precision rules.  A step to t^prec inverts
 f_y only mod t^(prec - h), where h is the measured order of the residual.
 The solve runs one term past its validity order w, and a nonzero t^w term
 refutes exactness without evaluating f at the solution again.
-
-Conjugate branches are never separated.  A finished branch whose tower has
-relative degree D over the expansion base represents D / N geometric
-branches (N its ramification): the side polynomial is invariant under
-z -> zeta z for zeta^e = 1, so each geometric branch occurs once per
-reparametrization t -> zeta t of its parametrization, N times in total.
-
-Splits raised anywhere during the expansion are caught at the top level; the
-whole expansion re-runs in each component tower and the branch lists merge
-(components partition the conjugates, so nothing is double counted).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .branch import PuiseuxBranch, characteristic_exponents
 from .errors import NotReducedError, PrecisionError
 from .implicit import milnor_number
-from .newton import newton_polygon
+from .newton import join_clusters, newton_polygon
 from .poly import BivariatePolynomial, resultant_y
 from .series import TruncatedSeries, evaluate_bivariate
-from .tower import (
-    Tower,
-    classify_value,
-    over_components,
-    project_value,
-    value_is_zero,
-)
+from .tower import Tower, classify_value, over_components, project_value, value_is_zero
 from .unipoly import uyun
 
 
@@ -65,6 +73,99 @@ def _base_tower(f: BivariatePolynomial) -> Tower | None:
 
 
 _DOUBLINGS = 3  # budget doublings before a precision shortfall is final
+
+
+def _doubling(run, budget: int):
+    """run(budget), doubling the budget on each precision shortfall."""
+    last_exc: Exception | None = None
+    for _attempt in range(_DOUBLINGS + 1):
+        try:
+            return run(budget)
+        except PrecisionError as exc:
+            last_exc = exc
+            budget *= 2
+    raise PrecisionError(f"truncation exhausted after {_DOUBLINGS} doublings: {last_exc}")
+
+
+def _over_root(tower: Tower | None, g: list, child):
+    """child(tw, w) for a root w of the monic squarefree g, as a list of
+    (roots of g that the result stands for, result).  A linear g has its
+    root in ``tower``; otherwise one root is adjoined as a new level, whose
+    splits are caught here and each component reruns ``child`` in its
+    prefix tower."""
+    if len(g) == 2:
+        return [(1, child(tower, -g[0]))]
+    host = tower if tower is not None else Tower()
+    h = host.height
+    top = host.adjoin(f"r{h + 1}", [host.lift(c).rep for c in g])
+
+    def compute(comp, _):
+        tw = comp.prefix(h + 1)
+        return child(tw, tw.generator(h + 1))
+
+    results = over_components(top, None, lambda _comp, _: None, compute, min_stage=h)
+    return [(comp.degrees[h], res) for comp, res in results]
+
+
+# -- the Newton-polygon tree ---------------------------------------------------
+
+
+def puiseux_tree(f: BivariatePolynomial, budget: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """The geometric branches of a reduced germ f through the origin, x not
+    dividing f, as characteristic exponents (n, beta_1, ..., beta_g) of
+    x = t^n, y = y(t), with their intersection matrix, read off the
+    Newton-polygon tree (see the module docstring).  Recentered germs are
+    truncated above x1^budget; a shortfall doubles the budget."""
+    if f.x_power_divisor() > 0:
+        raise ValueError("x divides f: the vertical axis branch has no x = t^n form")
+    base = _base_tower(f) or Tower()
+    return _doubling(lambda b: _tree_node(f, base, b, None), budget)
+
+
+def _tree_node(f, tower, budget, known):
+    """:func:`puiseux_tree` of f over ``tower``, f known modulo x^known
+    (None = exact)."""
+    q, f = f.strip_y_power()
+    if q >= 2:
+        if known is not None:
+            raise PrecisionError("y^2 divides the truncated germ")
+        raise NotReducedError("y^2 divides the germ")
+    np_f = newton_polygon(f)
+    for v in np_f.vertices:
+        classify_value(f.terms[v])  # a zero divisor splits the tower here
+    if known is not None and np_f.vertices and np_f.vertices[-1][0] >= known:
+        raise PrecisionError("the Newton polygon is undetermined at this truncation")
+    clusters = []
+    if q == 1:
+        if known is not None:
+            _axis_validity(f, np_f.sides, known)
+        clusters.append((None, [(1,)], [[0]]))
+    for side in np_f.sides:
+        e, qx = side.newton_pair()
+        s = side.inclination
+        child_budget = max(budget - qx, 4)
+        b = pow(e, -1, qx) if qx > 1 else 1
+        a = (b * e - 1) // qx
+
+        def child(tw, w):
+            f2, known2 = _recenter(f, e, qx, w**b, child_budget, known, w**a)
+            return _tree_node(f2, tw, child_budget, known2)
+
+        def lift(n, *betas):
+            # a branch (n', beta') one node down is (e n', [q n' if e > 1] + [q n' + beta'])
+            head = (e * n, qx * n) if e > 1 else (n,)
+            return head + tuple(qx * n + x for x in betas)
+
+        for g, mult in uyun(list(side.side_polynomial)[::e]):
+            if mult == 1:  # each root is one branch, smooth one node down
+                clusters.extend([(s, [lift(1)], [[0]])] * (len(g) - 1))
+                continue
+            for copies, (branches, inner) in _over_root(tower, g, child):
+                clusters.extend([(s, [lift(*c) for c in branches], inner)] * copies)
+    return join_clusters(clusters)
+
+
+# -- tower-valued expansions ----------------------------------------------------
 
 
 def puiseux_expand(f: BivariatePolynomial, target_order: int | None = None) -> list[PuiseuxBranch]:
@@ -97,47 +198,27 @@ def puiseux_expand(f: BivariatePolynomial, target_order: int | None = None) -> l
     else:
         max_depth = target_order  # explicit budgets trust the caller
 
-    budget = target_order
-    last_exc: Exception | None = None
-    for _attempt in range(_DOUBLINGS + 1):
-        try:
-            branches = _expand_all(f, base, base_height, budget, max_depth)
-            for b in branches:
-                if b.trunc is not None:
-                    characteristic_exponents(b)  # semigroup stabilized?
-            _post_check(f, branches, budget)
-            return branches
-        except PrecisionError as exc:
-            last_exc = exc
-            budget *= 2
-    raise PrecisionError(f"truncation exhausted after {_DOUBLINGS} doublings: {last_exc}")
+    def run(budget):
+        branches = _expand_all(f, base, base_height, budget, max_depth)
+        for b in branches:
+            if b.trunc is not None:
+                characteristic_exponents(b)  # semigroup stabilized?
+        _post_check(f, branches, budget)
+        return branches
+
+    return _doubling(run, target_order)
 
 
 def _expand_all(f, base, base_height, budget, max_depth) -> list[PuiseuxBranch]:
-    def proj(tw, poly):
-        return poly.project(tw)
-
-    def compute(tw, poly):
-        states = _expand_germ(poly, tw if tw.height else None, budget, 0, max_depth, None)
-        out = []
-        for stw, n, terms, valid in states:
-            for c in terms.values():
-                kind, _ = classify_value(c)  # emission: coefficients are units
-                if kind == "zero":
-                    raise AssertionError("ring-zero coefficient emitted")
-            degree_above = stw.degree_above(base_height) if stw is not None else 1
-            if degree_above % n:
-                raise AssertionError(
-                    f"conjugate count {degree_above} not divisible by ramification {n}"
-                )
-            out.append(
-                PuiseuxBranch.from_terms(n, terms, valid, conjugacy=degree_above // n)
+    out = []
+    for stw, n, terms, valid in _expand_germ(f, base, budget, 0, max_depth, None):
+        degree_above = stw.degree_above(base_height)
+        if degree_above % n:
+            raise AssertionError(
+                f"conjugate count {degree_above} not divisible by ramification {n}"
             )
-        return out
-
-    start = base if base is not None else Tower()
-    results = over_components(start, f, proj, compute, min_stage=base_height)
-    return [b for _tw, bs in results for b in bs]
+        out.append(PuiseuxBranch.from_terms(n, terms, valid, conjugacy=degree_above // n))
+    return out
 
 
 def _expand_germ(f, tower, budget, depth, max_depth, known):
@@ -180,64 +261,65 @@ def _axis_validity(f, sides, known) -> int:
 
 
 def _expand_side(f, side, tower, budget, depth, max_depth, known):
-    n_l, m_l = side.height, side.width
-    r = gcd(n_l, m_l)
-    # inclination d = m_l/n_l = qx/e in lowest terms drives the recentering
-    e, qx = n_l // r, m_l // r
-    p_l = list(side.side_polynomial)
-    out = []
-    for g, mult in uyun(p_l):
-        if len(g) - 1 == 0:
-            continue
-        if len(g) - 1 == 1:
-            root = -g[0]
-            tower2 = tower
-        else:
-            host = tower if tower is not None else Tower()
-            tower2 = host.adjoin(f"r{host.height + 1}", [host.lift(c).rep for c in g])
-            root = tower2.generator(tower2.height)
-        # the recentering raises every final validity by q*N_child >= qx, so
-        # the child only needs the budget shrunk by qx
-        child_budget = max(budget - qx, 4)
+    e, qx = side.newton_pair()
+    # the recentering raises every final validity by q*N_child >= qx, so
+    # the child only needs the budget shrunk by qx
+    child_budget = max(budget - qx, 4)
+
+    def child(tw, root, mult):
+        classify_value(root)  # a zero divisor splits the tower here
         f2, known2 = _recenter(f, e, qx, root, child_budget, known)
         if mult == 1:
             terms, valid = _regular_solve(f2, child_budget, known2)
-            children = [(tower2 if tower2 is not None else Tower(), 1, terms, valid)]
+            for c in terms.values():
+                classify_value(c)
+            children = [(tw if tw is not None else Tower(), 1, terms, valid)]
         else:
             if depth + 1 > max_depth:
                 raise NotReducedError(
                     "repeated side-polynomial root persists beyond the delta bound"
                 )
-            children = _expand_germ(f2, tower2, child_budget, depth + 1, max_depth, known2)
+            children = _expand_germ(f2, tw, child_budget, depth + 1, max_depth, known2)
+        out = []
         for tw3, n_c, terms_c, valid in children:
             root3 = project_value(root, tw3 if tw3.height else None)
-            n_total = e * n_c
             terms = {qx * n_c + k: v for k, v in terms_c.items()}
-            base_exp = qx * n_c
-            if not value_is_zero(root3):
-                terms[base_exp] = root3
+            terms[qx * n_c] = root3
             # the recentering y = x1^q (root + y1) shifts validity upward
             valid_total = None if valid is None else qx * n_c + valid
-            out.append((tw3, n_total, terms, valid_total))
+            out.append((tw3, e * n_c, terms, valid_total))
+        return out
+
+    out = []
+    for g, mult in uyun(list(side.side_polynomial)):
+        for _copies, states in _over_root(tower, g, lambda tw, root: child(tw, root, mult)):
+            out.extend(states)
     return out
 
 
-def _recenter(f, e, q, root, budget, known):
-    """f(x1^e, x1^q (root + y1)) divided by its x1-power, truncated in x1
-    above x1^budget; also returns the known precision of the result, from
-    that of f (``known``, None = exact) and from the dropped terms."""
+def _recenter(f, e, q, root, budget, known, scale=1):
+    """f(scale * x1^e, x1^q (root + y1)) divided by its x1-power, truncated
+    in x1 above x1^budget; also returns the known precision of the result,
+    from that of f (``known``, None = exact) and from the dropped terms."""
     lvl = min(e * i + q * j for (i, j) in f.terms)
     known2 = None if known is None else e * known - lvl
     maxj = f.degree_y()
     rpow = [Fraction(1)]
     for _ in range(maxj):
         rpow.append(rpow[-1] * root)
+    spow = None
+    if scale != 1:
+        spow = [Fraction(1)]
+        for _ in range(max(i for i, _ in f.terms)):
+            spow.append(spow[-1] * scale)
     terms: dict = {}
     for (i, j), c in f.terms.items():
         base = e * i + q * j - lvl
         if base > budget:
             known2 = budget + 1 if known2 is None else min(known2, budget + 1)
             continue
+        if spow is not None:
+            c = c * spow[i]
         for k in range(j + 1):
             key = (base, k)
             add = c * (comb(j, k) * rpow[j - k])

@@ -105,9 +105,6 @@ class Tower:
     def height(self) -> int:
         return len(self.levels)
 
-    def degree(self) -> int:
-        return self.dim
-
     def degree_above(self, stage: int) -> int:
         """Product of level degrees strictly above ``stage`` levels."""
         return prod(self.degrees[stage:])
@@ -183,12 +180,6 @@ class Tower:
         num = [x * (den // c.den) for c in coeffs for x in c.num]
         num.extend([0] * (self.dim - len(num)))
         return TowerElement(self, num, den)
-
-    def lift_rep(self, rep, from_stage: int):
-        """Pad a stage-``from_stage`` representation up to the full height."""
-        for _ in range(self.height - from_stage):
-            rep = (rep,)
-        return rep
 
     def lift(self, v: Value) -> "TowerElement":
         """Coerce a rational or an element of a prefix tower into this one."""

@@ -53,12 +53,6 @@ def usub(p: UPoly, q: UPoly) -> UPoly:
     return uadd(p, uneg(q))
 
 
-def uscale(p: UPoly, c: Value) -> UPoly:
-    if value_is_zero(c):
-        return []
-    return ustrip([ci * c for ci in p])
-
-
 def umul(p: UPoly, q: UPoly) -> UPoly:
     if not p or not q:
         return []

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 from math import prod
 
-from branchpolar.branch import PuiseuxBranch
-from branchpolar.errors import NonIsolatedSingularityError, PrecisionError
+from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
+from branchpolar.eqtype import EquisingularityType
+from branchpolar.equising import pair_intersection_values
+from branchpolar.errors import AmbiguousPairingError, NonIsolatedSingularityError, PrecisionError
 from branchpolar.poly import BivariatePolynomial, prs_resultant, resultant_y
+from branchpolar.puiseux import _base_tower, puiseux_expand
 from branchpolar.series import TruncatedSeries, evaluate_bivariate
 from branchpolar.tower import (
     Tower,
@@ -274,6 +277,13 @@ def _div_linear(coeffs: list, alpha: TowerElement) -> list:
     return q
 
 
+def lift_rep(rep, levels: int):
+    """Pad a nested representation by ``levels`` tower levels."""
+    for _ in range(levels):
+        rep = (rep,)
+    return rep
+
+
 def _self_pair_setup(tower: Tower, j: int):
     """Pair tower for two conjugate tuples agreeing below level j and
     differing there: level j of the second tuple is a root of
@@ -283,7 +293,7 @@ def _self_pair_setup(tower: Tower, j: int):
     cur = tower
     mp = tower.levels[j - 1].minpoly
     alpha = cur.generator(j)
-    coeffs = [cur.from_rep(cur.lift_rep(c, j - 1)) for c in mp]
+    coeffs = [cur.from_rep(lift_rep(c, cur.height - j + 1)) for c in mp]
     q = _div_linear(coeffs, alpha)
     if len(q) == 2:  # linear quotient: the second root is explicit
         beta = -q[0]
@@ -368,3 +378,92 @@ def self_pair_values_carved(
                 raise AssertionError("pair degree not divisible by the redundancy")
             out[value] = out.get(value, 0) + deg // red
     return out
+
+
+# -- types by pairwise sheet sums ---------------------------------------------
+
+
+def _assemble_type(branches: list[PuiseuxBranch], base_height: int) -> EquisingularityType:
+    """The canonical type of a germ from its tower-valued expansion branches,
+    by pairwise sheet sums; a reference for ``equising.equisingularity_type``,
+    which reads the type off the Newton-polygon tree instead."""
+
+    def values(bi, bj):
+        try:
+            return pair_intersection_values(bi, bj, base_height)
+        except PrecisionError as exc:
+            # an expansion truncates each branch after the term that
+            # determines it, so no two of them agree to their truncation
+            raise AssertionError(f"expansion branches agree to their truncation: {exc}") from exc
+
+    groups = branches
+    sgs = [semigroup_of_branch(b) for b in groups]
+    sizes = [b.conjugacy for b in groups]
+    offs = []
+    pos = 0
+    for c in sizes:
+        offs.append(pos)
+        pos += c
+    n_geo = pos
+    semis = []
+    for sg, c in zip(sgs, sizes):
+        semis.extend([sg] * c)
+    mat = [[0] * n_geo for _ in range(n_geo)]
+
+    nonuniform_hits: dict[int, int] = {}
+    for i, bi in enumerate(groups):
+        ci = sizes[i]
+        if ci >= 2:
+            vals = values(bi, None)
+            if len(vals) != 1:
+                raise AmbiguousPairingError(
+                    f"conjugates of one branch family meet at different orders: {vals}"
+                )
+            v = next(iter(vals))
+            for a in range(ci):
+                for bq in range(a + 1, ci):
+                    mat[offs[i] + a][offs[i] + bq] = v
+                    mat[offs[i] + bq][offs[i] + a] = v
+        for j in range(i + 1, len(groups)):
+            bj = groups[j]
+            cj = sizes[j]
+            vals = values(bi, bj)
+            if len(vals) == 1:
+                v = next(iter(vals))
+                for a in range(ci):
+                    for bq in range(cj):
+                        mat[offs[i] + a][offs[j] + bq] = v
+                        mat[offs[j] + bq][offs[i] + a] = v
+            elif ci == 1 or cj == 1:
+                single, multi = (i, j) if ci == 1 else (j, i)
+                nonuniform_hits[multi] = nonuniform_hits.get(multi, 0) + 1
+                if nonuniform_hits[multi] > 1:
+                    raise AmbiguousPairingError(
+                        "multiple non-uniform pairings touch one conjugate family; "
+                        "assignment is undetermined from component data"
+                    )
+                expanded = []
+                for v, cnt in sorted(vals.items()):
+                    expanded.extend([v] * cnt)
+                for k, v in enumerate(expanded):
+                    mat[offs[single]][offs[multi] + k] = v
+                    mat[offs[multi] + k][offs[single]] = v
+            else:
+                raise AmbiguousPairingError(
+                    f"non-uniform pairing between conjugate families: {vals}"
+                )
+    return EquisingularityType.of(semis, mat)
+
+
+def expansion_type(f: BivariatePolynomial, mu: int) -> EquisingularityType:
+    """The type of a reduced germ f of Milnor number ``mu``, none of whose
+    branches is tangent to x = 0, by the expansion path: every branch
+    expanded to mu + deg_y + 4 and assembled by :func:`_assemble_type`.  A
+    reference for ``equising.equisingularity_type``, which reads the type
+    off the Newton-polygon tree."""
+    roots = min(j for (i, j) in f.terms if i == 0)
+    if roots != min(i + j for (i, j) in f.terms):
+        raise ValueError("a branch is tangent to x = 0")
+    base = _base_tower(f)
+    branches = puiseux_expand(f, target_order=mu + f.degree_y() + 4)
+    return _assemble_type(branches, base.height if base is not None else 0)

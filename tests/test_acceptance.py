@@ -282,7 +282,7 @@ def test_criterion_8_property_suite():
         assert intersection_multiplicity(b, p) == mu + b.n - 1
 
     # polygon path vs Puiseux path on non-degenerate polars
-    from branchpolar.equising import _assemble_type
+    from oracles import _assemble_type
 
     nd_fixtures = [
         BP({(0, 4): F(5), (11, 0): F(-12)}),

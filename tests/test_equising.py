@@ -249,7 +249,7 @@ def _self_pairs_match_oracle(p) -> list[tuple[int, int, int]]:
         assert vals == self_pair_values_carved(b, 0, max_contact)
         assert sum(vals.values()) == b.conjugacy * (b.conjugacy - 1)
         t = b.tower()
-        checked.append((b.n, t.height, t.degree() // b.conjugacy))
+        checked.append((b.n, t.height, t.dim // b.conjugacy))
     return checked
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from branchpolar.errors import AxisFactorError
-from branchpolar.newton import is_newton_nondegenerate, newton_polygon, nondegenerate_type
+from branchpolar.newton import is_newton_nondegenerate, join_clusters, newton_polygon, nondegenerate_type
 from branchpolar.poly import BivariatePolynomial as BP
 
 
@@ -102,3 +102,18 @@ def test_total_milnor_consistency_on_nondegenerate_fixture():
     f = BP({(0, 4): F(5), (8, 1): F(-10), (11, 0): F(-12)})
     t = nondegenerate_type(newton_polygon(f))
     assert t.milnor_number() == milnor_number(f)
+
+
+def test_join_clusters_node_rule():
+    # the y-axis (s = infinity), a two-branch cluster on the side of
+    # inclination 3/2 whose branches meet once more one node down, and a
+    # lone branch on the side of inclination 5/2
+    branches, mat = join_clusters(
+        [
+            (None, [(1,)], [[0]]),
+            (F(3, 2), [(2, 3), (4, 6, 7)], [[0, 1], [1, 0]]),
+            (F(5, 2), [(2, 5)], [[0]]),
+        ]
+    )
+    assert branches == [(1,), (2, 3), (4, 6, 7), (2, 5)]
+    assert mat == [[0, 3, 6, 5], [3, 0, 13, 6], [6, 13, 0, 12], [5, 6, 12, 0]]

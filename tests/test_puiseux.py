@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
-from branchpolar.equising import equisingularity_type
+from branchpolar.equising import branch_intersection, equisingularity_type
 from branchpolar.errors import NotReducedError, PrecisionError
 from branchpolar.families import gamma_5_12
 from branchpolar.implicit import implicitize, polar
@@ -101,7 +101,7 @@ def test_oracle_agreement_polygon_vs_expansion():
         BP({(0, 4): F(1), (5, 2): F(-3), (10, 0): F(1)}),
         BP({(0, 2): F(3), (10, 0): F(-11)}),
     ]
-    from branchpolar.equising import _assemble_type
+    from oracles import _assemble_type
 
     for f in fixtures:
         t_polygon = nondegenerate_type(newton_polygon(f))
@@ -271,3 +271,54 @@ def test_expanding_a_germ_twice_gives_identical_towers():
     second = [repr(b.tower()) for b in puiseux_expand(p)]
     assert first == second
     assert "Tower(r1^2,r2^2)" in first
+
+
+def test_split_is_caught_where_its_level_was_adjoined():
+    # the side polynomial (z^2 - 4)^2 adjoins a root r of z^2 - 4, which
+    # splits one node down; rerunning the whole expansion in each component
+    # stacked a new level per rerun until RecursionError
+    x, y = BP({(1, 0): F(1)}), BP({(0, 1): F(1)})
+    bs = puiseux_expand(((y - x * 2) ** 2 - x**3) * ((y + x * 2) ** 2 - x**5))
+    assert sorted(semigroup_of_branch(b).generators for b in bs) == [(2, 3), (2, 5)]
+    assert [b.conjugacy for b in bs] == [1, 1]
+    # each branch's tower keeps r in a linear level, which pair towers copy
+    assert [b.tower().degrees for b in bs] == [(1, 2), (1, 2)]
+    assert branch_intersection(bs[0], bs[1]) == 4
+
+
+def _rational_terms(b):
+    """y-terms of a branch whose tower levels are all linear, as rationals."""
+    return {e: c.rep[0] if hasattr(c, "rep") else c for e, c in b.y_terms}
+
+
+def test_zero_divisor_coefficients_split_where_their_level_was_adjoined():
+    x, y = BP({(1, 0): F(1)}), BP({(0, 1): F(1)})
+    # one root r of z^2 - 1 solves to y = r x + (r - 1)/2 x^2, a zero divisor
+    bs = puiseux_expand((y - x) * (y + x + x**2))
+    assert sorted(sorted(_rational_terms(b).items()) for b in bs) == [
+        [(1, -1), (2, -1)],
+        [(1, 1)],
+    ]
+    # one root r of z^2 - 4, one node down: the last vertex of the polygon
+    # has a zero-divisor coefficient on a side of height 1
+    bs = puiseux_expand(
+        (y - x * 2 - x**2) * (y - x * 2 - x**3) * (y + x * 2 - x**2) * (y + x * 2 - x**4)
+    )
+    assert sorted(sorted(_rational_terms(b).items()) for b in bs) == [
+        [(1, -2), (2, 1)],
+        [(1, -2), (4, 1)],
+        [(1, 2), (2, 1)],
+        [(1, 2), (3, 1)],
+    ]
+    assert all(b.conjugacy == 1 for b in bs)
+    # as above, with that side's root the only zero divisor: the solution
+    # past it is x1 in both components
+    bs = puiseux_expand(
+        (y - x * 2 - x**2) * (y - x * 2 - x**3 - x**4) * (y + x * 2 - x**2) * (y + x * 2 - x**4)
+    )
+    assert sorted(sorted(_rational_terms(b).items()) for b in bs) == [
+        [(1, -2), (2, 1)],
+        [(1, -2), (4, 1)],
+        [(1, 2), (2, 1)],
+        [(1, 2), (3, 1), (4, 1)],
+    ]

@@ -92,7 +92,7 @@ def test_over_components_covers_tree():
     results = over_components(t, e, lambda tw, v: v, compute)
     kinds = sorted(k for _tw, k in results)
     assert kinds == ["unit", "zero"] or kinds == ["unit", "unit", "zero"]
-    total = sum(tw.degree() for tw, _ in results)
+    total = sum(tw.dim for tw, _ in results)
     assert total == 3
 
 
