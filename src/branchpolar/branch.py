@@ -3,8 +3,9 @@ parametrization x = t^n, y = sum c_i t^i.
 
 The semigroup of values is read off the characteristic exponents through the
 classical recursion; the set of differential values is computed by pulling
-back monomial differentials and running a valuation-echelon elimination.  The
-value of a differential A dx + B dy on the branch is
+back monomial differentials, cut at t^(c + n) for the conductor c, and running
+a valuation-echelon elimination.  The value of a differential A dx + B dy on
+the branch is
 
     nu(omega) = ord_t( A(x(t),y(t)) x'(t) + B(x(t),y(t)) y'(t) ) + 1,
 
@@ -87,9 +88,6 @@ class PuiseuxBranch:
             if tw is not None:
                 return tw
         return None
-
-    def x_series(self) -> TruncatedSeries:
-        return TruncatedSeries.monomial(self.n)
 
     def y_series(self, trunc: int | None = None) -> TruncatedSeries:
         t = self.trunc if trunc is None else (
@@ -179,63 +177,54 @@ def characteristic_semigroup(betas) -> NumericalSemigroup:
         vs.append(nk * vs[k] + betas[k + 1] - betas[k])
         es.append(gcd(es[k], betas[k + 1]))
     sg = semigroup_from_generators(vs)
-    # classical conductor formula as an internal cross-check of the sieve
+    # classical conductor formula against max(Apery set) - m + 1
     c = 1 - betas[0]
     for k in range(1, len(vs)):
         c += (es[k - 1] // es[k] - 1) * vs[k]
     if c != sg.conductor:
         raise AssertionError(
-            f"conductor mismatch: recursion gives {c}, sieve gives {sg.conductor}"
+            f"conductor mismatch: recursion gives {c}, Apery set gives {sg.conductor}"
         )
     return sg
 
 
-def differential_values(b: PuiseuxBranch, working_order: int | None = None) -> DifferentialValues:
+def differential_values(b: PuiseuxBranch) -> DifferentialValues:
     """Values of monomial differentials closed under elimination.
 
-    Pullbacks of x^i y^j dx and x^i y^j dy with value below conductor + n
+    Pullbacks of x^i y^j dx and x^i y^j dy with value below W = conductor + n
     are reduced against a valuation-echelon basis (pivot = lowest order,
     ties broken by generation order); every pivot order + 1 is an achieved
     value.  Since all integers >= conductor already lie in the semigroup,
     the extra set is contained in [0, conductor) and the computation is
-    complete at this truncation.
+    complete at this truncation, so every pullback is cut at t^W: y^j dx and
+    y^j dy are built once per j, and x^i = t^(i*n) is an exponent shift.
     """
     gamma = semigroup_of_branch(b)
     c = gamma.conductor
     n = b.n
-    W = c + n if working_order is None else max(working_order, c + n)
+    W = c + n
     if b.trunc is not None and b.trunc < W:
         raise PrecisionError(
             f"truncation t^{b.trunc} too small for differential values (need t^{W})"
         )
-    xs = TruncatedSeries.monomial(n).truncate(W)
     ys = b.y_series(W)
-    dx = TruncatedSeries.monomial(n - 1, Fraction(n)).truncate(W)
-    dy = ys.derivative().truncate(W)
+    dx = TruncatedSeries.monomial(n - 1, Fraction(n), W)
+    dy = ys.derivative()
     m = b.y_order()
     if m is None:
         raise ValueError("monomial branch in x only: y vanishes identically")
 
+    def shifted(s: TruncatedSeries, k: int) -> TruncatedSeries:  # t^k * s mod t^W
+        return TruncatedSeries({e + k: v for e, v in s.terms.items()}, min(s.trunc + k, W))
+
     candidates = []
-    xpows = {0: TruncatedSeries.constant(Fraction(1), W)}
-    ypows = {0: TruncatedSeries.constant(Fraction(1), W)}
-
-    def xp(i):
-        if i not in xpows:
-            xpows[i] = xp(i - 1) * xs
-        return xpows[i]
-
-    def yp(j):
-        if j not in ypows:
-            ypows[j] = yp(j - 1) * ys
-        return ypows[j]
-
-    jmax = W // m if m else 0
-    for j in range(jmax + 1):
+    yj = TruncatedSeries.constant(Fraction(1), W)
+    for j in range(W // m + 1):
+        ydx, ydy = (yj * dx).truncate(W), (yj * dy).truncate(W)
         for i in range((W - j * m) // n + 1):
-            base = xp(i) * yp(j)
-            candidates.append((i * n + j * m + n, 0, i, j, base * dx))
-            candidates.append((i * n + j * m + m, 1, i, j, base * dy))
+            candidates.append((i * n + j * m + n, 0, i, j, shifted(ydx, i * n)))
+            candidates.append((i * n + j * m + m, 1, i, j, shifted(ydy, i * n)))
+        yj = (yj * ys).truncate(W)
     candidates.sort(key=lambda r: r[:4])
 
     echelon: dict[int, TruncatedSeries] = {}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -34,13 +33,6 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("BRANCHPOLAR_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _load_spec(arg: str) -> BranchSpec:
     p = Path(arg)
     if p.exists() and p.is_file():
@@ -57,7 +49,6 @@ def _cmd_analyze(args) -> int:
     report = analyze(
         spec,
         directions=args.directions,
-        truncation=args.truncation,
         seed=args.seed,
         timing=args.timing,
     )
@@ -118,10 +109,9 @@ def _cmd_sweep(args) -> int:
     except FamilyError as exc:
         _emit({"error": {"stage": "sweep", "message": str(exc)}}, args.json)
         return USAGE_EXIT
-    workers = args.workers or _default_workers()
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 report = stratum_sweep(
                     fam,
                     args.trials,
@@ -180,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("spec", help="branch DSL text or a path to a file containing it")
     a.add_argument("--directions", type=_directions, default=3,
                    help="polar directions sampled (>= 2)")
-    a.add_argument("--truncation", type=int, default=None, help="working order override")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--json", default=None, help="write the report to a file")
     a.add_argument("--timing", action="store_true", help="include wall-clock timing")
@@ -199,8 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, required=True)
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--samples", type=_directions, default=2, help="directions per trial (>= 2)")
-    s.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: BRANCHPOLAR_WORKERS or 1)")
+    s.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     s.add_argument("--no-walls", action="store_true", help="skip wall injection")
     s.add_argument("--json", default=None)
     s.set_defaults(fn=_cmd_sweep)

@@ -4,8 +4,8 @@ held in a canonical form so that equality of types is equality of data.
 Canonical ordering: branches sorted by (multiplicity, generator tuple); ties
 among identical semigroups are broken by choosing, among all permutations
 within each tie group, the lexicographically smallest intersection matrix.
-Tie groups in this domain are tiny (conjugate branches), so the exhaustive
-choice is cheap and deterministic.
+The choice is deterministic but factorial in the tie group's size: the polar
+of x = t^10, y = t^19 has 9! orderings (ROADMAP.md, contact-tree types).
 """
 
 from __future__ import annotations

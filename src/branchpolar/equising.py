@@ -73,7 +73,7 @@ from .unipoly import ucyclotomic
 def intersection_multiplicity(b: PuiseuxBranch, g: BivariatePolynomial) -> int:
     """ord_t g(x(t), y(t)); PrecisionError when undetermined at the
     branch truncation."""
-    s = evaluate_bivariate(g, b.x_series(), b.y_series())
+    s = evaluate_bivariate(g, b.n, b.y_series())
     tower = b.tower() or _base_tower(g)
     if tower is None:
         o = s.order()

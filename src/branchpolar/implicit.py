@@ -77,7 +77,7 @@ def _check_weierstrass(f: BivariatePolynomial, b: PuiseuxBranch) -> None:
             cj = f.coefficient_of_y(n - j)
             if not cj.is_zero and cj.x_power_divisor() <= j:
                 raise AssertionError("Weierstrass order condition ord_x a_j > j violated")
-    res = evaluate_bivariate(f, b.x_series(), b.y_series(None))
+    res = evaluate_bivariate(f, b.n, b.y_series(None))
     if not res.is_exact_zero:
         raise AssertionError("implicit equation does not vanish on the branch")
 

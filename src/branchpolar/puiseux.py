@@ -361,28 +361,27 @@ def _regular_solve(f, budget, known) -> tuple[dict, int | None]:
     kind, _ = classify_value(d0)
     if kind != "unit":
         raise AssertionError("regular solve called at a non-simple root")
-    xs = TruncatedSeries.monomial(1)
     y = TruncatedSeries.zero(1)
     prec = 1
     while prec <= w:
         prec = min(2 * prec, w + 1)
         ycur = y.declare_trunc(prec)
-        num = evaluate_bivariate(f, xs, ycur).truncate(prec)
+        num = evaluate_bivariate(f, 1, ycur).truncate(prec)
         if num.is_zero_mod_trunc:
             y = ycur
             continue
         k = prec - num.min_exponent()
-        den = evaluate_bivariate(fy, xs, ycur.truncate(k)).truncate(k)
+        den = evaluate_bivariate(fy, 1, ycur.truncate(k)).truncate(k)
         y = (ycur - num * den.inverse(k)).truncate(prec).declare_trunc(prec)
     if w in y.terms or known is not None:
         return dict(y.truncate(w).terms), w
-    exact = evaluate_bivariate(f, xs, y.declare_trunc(None)).is_exact_zero
+    exact = evaluate_bivariate(f, 1, y.declare_trunc(None)).is_exact_zero
     return dict(y.terms), None if exact else w
 
 
 def _post_check(f, branches, budget):
     for b in branches:
-        val = evaluate_bivariate(f, b.x_series(), b.y_series())
+        val = evaluate_bivariate(f, b.n, b.y_series())
         if val.is_exact_zero:
             continue
         if val.min_exponent() is not None:

@@ -55,7 +55,7 @@ def encode_semigroup(sg) -> dict:
     return {
         "generators": list(sg.generators),
         "conductor": sg.conductor,
-        "gaps": sorted(sg.gaps),
+        "gaps": list(sg.gaps),
     }
 
 
@@ -109,7 +109,6 @@ class AnalysisReport:
 def analyze(
     spec: BranchSpec,
     directions: int = 3,
-    truncation: int | None = None,
     seed: int = 0,
     timing: bool = False,
 ) -> AnalysisReport:
@@ -130,7 +129,7 @@ def analyze(
             "branch": encode_branch(b),
         },
         "seed": seed,
-        "options": {"directions": directions, "truncation": truncation},
+        "options": {"directions": directions},
     }
     stage = "input"
     try:
@@ -139,7 +138,7 @@ def analyze(
         sg = semigroup_of_branch(b)
         payload["semigroup"] = encode_semigroup(sg)
         stage = "differential_values"
-        dv = differential_values(b, working_order=truncation)
+        dv = differential_values(b)
         payload["differential_values"] = sorted(dv.extra)
         payload["zariski_invariant"] = zariski_invariant(dv)
         stage = "implicitize"

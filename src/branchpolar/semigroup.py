@@ -1,36 +1,47 @@
-"""Numerical semigroups: minimal generators, conductor, gap set."""
+"""Numerical semigroups held by their Apéry sets.
+
+Ap[r], r = 0..m-1, is the least member congruent to r mod the multiplicity m.
+Then n is a member iff n >= Ap[n mod m], and the conductor is max(Ap) - m + 1
+(Rosales & García-Sánchez, *Numerical Semigroups*, 2009, ch. 1).  Ap is a
+shortest-path search over the m residues: no work is sized by a generator.
+"""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from math import gcd
 
 
 @dataclass(frozen=True, order=True)
 class NumericalSemigroup:
-    """A numerical semigroup by minimal generators, with conductor and gaps.
-
-    Invariants: gcd of the generators is 1, every integer >= conductor is a
-    member, conductor - 1 is a gap (unless the semigroup is all of N, where
-    the conductor is 0), and no generator is representable by the others.
-    """
+    """Minimal generators (gcd 1) and the Apéry set with respect to the
+    multiplicity, the least generator."""
 
     generators: tuple[int, ...]
-    conductor: int
-    gaps: frozenset[int]
+    apery: tuple[int, ...]
 
     @property
     def multiplicity(self) -> int:
         return self.generators[0]
 
     @property
+    def conductor(self) -> int:
+        """Least c with every integer >= c a member (0 for all of N)."""
+        return max(self.apery) - self.multiplicity + 1
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The non-members in increasing order, enumerated on each call."""
+        m = self.multiplicity
+        return tuple(g for g in range(self.conductor) if g < self.apery[g % m])
+
+    @property
     def is_smooth(self) -> bool:
         return self.generators == (1,)
 
     def __contains__(self, n: int) -> bool:
-        if n < 0:
-            return False
-        return n >= self.conductor or n not in self.gaps
+        return n >= self.apery[n % self.multiplicity]  # Ap >= 0 rejects n < 0
 
     def sort_key(self):
         return (self.multiplicity, self.generators)
@@ -41,48 +52,38 @@ class NumericalSemigroup:
 
 
 def semigroup_from_generators(gens) -> NumericalSemigroup:
-    """Build the semigroup generated by ``gens`` (gcd must be 1), minimizing
-    the generator list and enumerating gaps by a coin-problem sieve."""
+    """Build the semigroup generated by ``gens`` (gcd must be 1): its Apéry
+    set by a shortest-path search over the residues mod the least generator,
+    then the minimal generators read off that set."""
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] < 1:
         raise ValueError("generators must be positive integers")
-    g = 0
-    for v in gens:
-        g = gcd(g, v)
-    if g != 1:
+    if gcd(*gens) != 1:
         raise ValueError(f"generators {gens} do not have gcd 1")
-    if gens[0] == 1:
-        return NumericalSemigroup((1,), 0, frozenset())
     m = gens[0]
-    bound = max(gens) * m + 1
-    member = bytearray(bound)
-    member[0] = 1
-    for v in gens:
-        for i in range(v, bound):
-            if member[i - v]:
-                member[i] = 1
-    run, conductor = 0, None
-    for i in range(bound):
-        run = run + 1 if member[i] else 0
-        if run == m:  # m consecutive members close the semigroup upward
-            conductor = i - m + 1
-            break
-    if conductor is None:
-        raise AssertionError("sieve bound too small")
-    gaps = frozenset(i for i in range(conductor) if not member[i])
-    minimal = []
-    for v in gens:
-        others = [w for w in gens if w != v]
-        if not others or not _representable(v, others):
-            minimal.append(v)
-    return NumericalSemigroup(tuple(minimal), conductor, gaps)
+    apery = _apery_set(m, gens[1:])
+    # v is minimal iff it is an Apéry element and v - w is a gap for every
+    # nonzero Apéry element w < v
+    minimal = [m] + [
+        v
+        for v in gens[1:]
+        if apery[v % m] == v and all(v - w < apery[(v - w) % m] for w in apery if 0 < w < v)
+    ]
+    return NumericalSemigroup(tuple(minimal), apery)
 
 
-def _representable(v: int, gens: list[int]) -> bool:
-    reach = bytearray(v + 1)
-    reach[0] = 1
-    for g in gens:
-        for i in range(g, v + 1):
-            if reach[i - g]:
-                reach[i] = 1
-    return bool(reach[v])
+def _apery_set(m: int, steps: list[int]) -> tuple[int, ...]:
+    """Least element of <m, steps> in each residue class mod m: Dijkstra
+    from residue 0, an edge r -> r + s mod m of length s per step s.  The
+    caller has checked gcd = 1, so every residue is reached."""
+    dist: list[int | None] = [None] * m
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if dist[r] is not None:
+            continue
+        dist[r] = d
+        for s in steps:
+            if dist[(r + s) % m] is None:
+                heapq.heappush(heap, (d + s, (r + s) % m))
+    return tuple(dist)

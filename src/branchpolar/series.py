@@ -11,6 +11,9 @@ Ring operations propagate validity orders conservatively.  Algorithms that
 know more than the operator-level bound (e.g. Newton iterations, whose
 output is valid to the requested precision regardless of intermediate
 bounds) assert the sharper order with :meth:`TruncatedSeries.declare_trunc`.
+
+Branches have x = t^n, so :func:`evaluate_bivariate` takes n and shifts
+exponents, x^i -> t^(n*i), instead of multiplying series of x.
 """
 
 from __future__ import annotations
@@ -260,23 +263,12 @@ def _raw_mul(a: dict, b: dict, prec: int | None) -> dict:
     return out
 
 
-def evaluate_bivariate(f, xs: TruncatedSeries, ys: TruncatedSeries) -> TruncatedSeries:
-    """Evaluate a BivariatePolynomial at series arguments (Horner in y,
-    cached powers of the x-series).  Truncation is tracked by the series
-    operations themselves."""
-    coeffs = f.y_coefficients()
-    xpow: dict[int, TruncatedSeries] = {0: TruncatedSeries.constant(Fraction(1))}
-
-    def xp(i: int) -> TruncatedSeries:
-        if i not in xpow:
-            xpow[i] = xp(i - 1) * xs
-        return xpow[i]
-
+def evaluate_bivariate(f, n: int, ys: TruncatedSeries) -> TruncatedSeries:
+    """Evaluate a BivariatePolynomial at x = t^n, y = ys: Horner in y, each
+    y-coefficient a(x) becoming the exact series a(t^n) by the exponent
+    shift x^i -> t^(n*i).  Truncation is tracked by the series operations
+    themselves."""
     out = TruncatedSeries.zero()
-    for cj in reversed(coeffs):
-        out = out * ys
-        acc = TruncatedSeries.zero()
-        for (i, _j), c in cj.terms.items():
-            acc = acc + xp(i).scale(c)
-        out = out + acc
+    for cj in reversed(f.y_coefficients()):
+        out = out * ys + TruncatedSeries({n * i: c for (i, _j), c in cj.terms.items()})
     return out

@@ -63,6 +63,43 @@ def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> Biv
     return det if sign == 1 else -det
 
 
+def sieve_semigroup(gens) -> tuple[tuple[int, ...], int, frozenset[int]]:
+    """(minimal generators, conductor, gaps) of the semigroup generated by
+    ``gens`` (gcd 1) by a coin-problem sieve over [0, max(gens) * m]: the
+    reference for the Apéry-set construction."""
+    gens = sorted(set(gens))
+    m = gens[0]
+    if m == 1:
+        return (1,), 0, frozenset()
+    bound = max(gens) * m + 1
+    member = bytearray(bound)
+    member[0] = 1
+    for v in gens:
+        for i in range(v, bound):
+            if member[i - v]:
+                member[i] = 1
+    run, conductor = 0, None
+    for i in range(bound):
+        run = run + 1 if member[i] else 0
+        if run == m:  # m consecutive members close the semigroup upward
+            conductor = i - m + 1
+            break
+    assert conductor is not None, "sieve bound too small"
+    gaps = frozenset(i for i in range(conductor) if not member[i])
+    minimal = tuple(v for v in gens if not _representable(v, [w for w in gens if w != v]))
+    return minimal, conductor, gaps
+
+
+def _representable(v: int, gens: list[int]) -> bool:
+    reach = bytearray(v + 1)
+    reach[0] = 1
+    for g in gens:
+        for i in range(g, v + 1):
+            if reach[i - g]:
+                reach[i] = 1
+    return bool(reach[v])
+
+
 def implicitize_resultant(b: PuiseuxBranch) -> BivariatePolynomial:
     """Implicitization as the t-resultant Res_t(t^n - x, y - y(t)) by a
     subresultant PRS over Q[x, y] coefficients, normalized to be monic in
@@ -147,19 +184,18 @@ def regular_solve_full(f: BivariatePolynomial, budget: int) -> tuple[dict, int |
     kind, _ = classify_value(fy.terms.get((0, 0), Fraction(0)))
     if kind != "unit":
         raise AssertionError("regular solve called at a non-simple root")
-    xs = TruncatedSeries.monomial(1)
     y = TruncatedSeries.zero(1)
     prec = 1
     while prec < w:
         prec = min(2 * prec, w)
         ycur = y.declare_trunc(prec)
-        num = evaluate_bivariate(f, xs, ycur).truncate(prec)
+        num = evaluate_bivariate(f, 1, ycur).truncate(prec)
         if num.is_zero_mod_trunc:
             y = ycur
             continue
-        den = evaluate_bivariate(fy, xs, ycur).truncate(prec)
+        den = evaluate_bivariate(fy, 1, ycur).truncate(prec)
         y = (ycur - num * den.inverse(prec)).truncate(prec).declare_trunc(prec)
-    exact = evaluate_bivariate(f, xs, y.declare_trunc(None)).is_exact_zero
+    exact = evaluate_bivariate(f, 1, y.declare_trunc(None)).is_exact_zero
     return dict(y.terms), None if exact else w
 
 

@@ -150,6 +150,20 @@ def test_max_extra_bounded_by_conductor():
             assert max(d.extra) <= d.gamma.conductor - 1
 
 
+def test_differential_values_multiplicity_9():
+    # four terms at n = 9, c = 152: the candidates are cut at t^(c + n)
+    b = PuiseuxBranch.from_terms(
+        9, {20: F(-37, 11), 22: F(5, 13), 25: F(-71, 3), 29: F(13, 17)}
+    )
+    d = differential_values(b)
+    assert d.gamma.generators == (9, 20) and d.gamma.conductor == 152
+    assert sorted(d.extra) == [
+        31, 42, 51, 52, 61, 62, 70, 71, 73, 79, 82, 84, 88, 91, 93,
+        95, 97, 102, 104, 106, 111, 113, 115, 122, 124, 131, 133, 142, 151,
+    ]
+    assert zariski_invariant(d) == 22
+
+
 def test_differential_values_reparametrization_invariant():
     # t -> zeta t for zeta^5 = 1 rescales c_i by zeta^i; over Q only
     # zeta = 1, so emulate with the rational rescale zeta = 1 and a

@@ -104,6 +104,17 @@ def test_analyze_smooth_branch_has_empty_polar(capsys):
     assert polar["genericity"]["certified"] is True
 
 
+def test_analyze_large_exponent_tail(capsys):
+    # the Weierstrass check evaluates f at a branch with t^4001: no
+    # recursion or cache sized by the exponent
+    code, out = run_cli(capsys, "analyze", "x=t^2; y=t^3+t^4001", "--directions", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert "error" not in payload
+    assert payload["milnor"] == 2
+    assert payload["polar"]["type"]["branches"] == [[1]]
+
+
 def test_module_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

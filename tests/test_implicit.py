@@ -154,7 +154,7 @@ def test_vanishing_and_weierstrass_shape():
         cj = f.coefficient_of_y(5 - j)
         if not cj.is_zero:
             assert cj.x_power_divisor() > j
-    assert evaluate_bivariate(f, b.x_series(), b.y_series(None)).is_exact_zero
+    assert evaluate_bivariate(f, b.n, b.y_series(None)).is_exact_zero
 
 
 def test_polar_row1_and_derivative():

@@ -65,7 +65,7 @@ def test_branches_annihilate_the_germ():
     f = implicitize(PuiseuxBranch.from_terms(3, {7: F(1), 8: F(1)}))
     p = polar(f, F(2), F(3))
     for b in puiseux_expand(p):
-        val = evaluate_bivariate(p, b.x_series(), b.y_series())
+        val = evaluate_bivariate(p, b.n, b.y_series())
         assert val.is_exact_zero or min(val.terms, default=val.trunc) >= b.trunc - 1
 
 

@@ -48,8 +48,14 @@ def test_derivative_lowers_truncation():
 
 def test_evaluate_bivariate_exact_vanishing():
     f = BP({(0, 2): F(1), (3, 0): F(-1)})
-    out = evaluate_bivariate(f, TS({2: F(1)}), TS({3: F(1)}))
+    out = evaluate_bivariate(f, 2, TS({3: F(1)}))
     assert out.is_exact_zero
+
+
+def test_evaluate_bivariate_large_x_power():
+    # one exponent shift per x-power: no power cache, no recursion on 5000
+    f = BP({(0, 1): F(1), (5000, 0): F(-1)})
+    assert evaluate_bivariate(f, 1, TS({5000: F(1)})).is_exact_zero
 
 
 def test_stretch_scales_exponents_and_trunc():
