@@ -25,9 +25,9 @@ from .series import TruncatedSeries
 from .tower import (
     Tower,
     Value,
-    classify_value,
     over_components,
     project_value,
+    unit_inverse,
     value_is_zero,
 )
 from .unipoly import udeg, ugcd, ustrip
@@ -119,12 +119,11 @@ class DifferentialValues:
     lam: int | None = field(default=None)
 
     def __post_init__(self):
-        if self.extra:
-            expected = min(self.extra) - self.gamma.multiplicity
-            if self.lam is None:
-                object.__setattr__(self, "lam", expected)
-            elif self.lam != expected:
-                raise ValueError("lambda inconsistent with min(extra) - v0")
+        expected = min(self.extra) - self.gamma.multiplicity if self.extra else None
+        if self.lam is None:
+            object.__setattr__(self, "lam", expected)
+        elif self.lam != expected:
+            raise ValueError("lambda inconsistent with min(extra) - v0")
 
 
 def characteristic_exponents(b: PuiseuxBranch) -> list[int]:
@@ -142,8 +141,7 @@ def characteristic_exponents(b: PuiseuxBranch) -> list[int]:
         if exp % e != 0:
             # a coefficient must be a unit for the exponent to count in
             # every tower component
-            kind, _ = classify_value(coeff)
-            if kind == "zero":
+            if unit_inverse(coeff) is None:
                 continue
             betas.append(exp)
             e = gcd(e, exp)
@@ -234,13 +232,10 @@ def differential_values(b: PuiseuxBranch) -> DifferentialValues:
             if s.is_zero_mod_trunc:
                 break
             o = min(s.terms)
-            kind, inv = classify_value(s.terms[o])
-            if kind == "zero":  # defensive; stored values are ring-nonzero
-                raise AssertionError("ring-zero stored in series")
             if o in echelon:
                 s = s - echelon[o].scale(s.terms[o])
             else:
-                echelon[o] = s.scale(inv)
+                echelon[o] = s.scale(unit_inverse(s.terms[o]))
                 values.add(o + 1)
                 break
     extra = frozenset(v for v in values if v < c and v not in gamma)
@@ -248,10 +243,8 @@ def differential_values(b: PuiseuxBranch) -> DifferentialValues:
 
 
 def zariski_invariant(d: DifferentialValues) -> int | None:
-    """min(extra) - v0, or None when the extra set is empty."""
-    if not d.extra:
-        return None
-    return min(d.extra) - d.gamma.multiplicity
+    """lambda = min(extra) - v0, or None when the extra set is empty."""
+    return d.lam
 
 
 def normal_form_equivalent(b1: PuiseuxBranch, b2: PuiseuxBranch, lam: int) -> bool:
@@ -272,7 +265,7 @@ def normal_form_equivalent(b1: PuiseuxBranch, b2: PuiseuxBranch, lam: int) -> bo
     if e < 1:
         raise ValueError("lambda must exceed the y-order of the normal form")
 
-    tower = b1.tower() or b2.tower()
+    tower = b1.tower() or b2.tower() or Tower()
 
     def compute(_tw, pair):
         t1, t2 = pair
@@ -287,10 +280,6 @@ def normal_form_equivalent(b1: PuiseuxBranch, b2: PuiseuxBranch, lam: int) -> bo
                 return False
         return udeg(g) >= 1
 
-    pair = (b1.y_terms, b2.y_terms)
-    if tower is None:
-        return compute(None, pair)
-
     def proj(tw, data):
         a, b = data
         return (
@@ -298,7 +287,8 @@ def normal_form_equivalent(b1: PuiseuxBranch, b2: PuiseuxBranch, lam: int) -> bo
             tuple((i, project_value(c, tw)) for i, c in b),
         )
 
-    results = [r for _tw, r in over_components(tower, pair, proj, compute)]
+    pairs = over_components(tower, (b1.y_terms, b2.y_terms), proj, compute)
+    results = [r for _tw, r in pairs]
     if all(results):
         return True
     if not any(results):

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from .dsl import BranchSpec, format_branch, parse_branch
@@ -110,23 +111,14 @@ def _cmd_sweep(args) -> int:
         _emit({"error": {"stage": "sweep", "message": str(exc)}}, args.json)
         return USAGE_EXIT
     try:
-        if args.workers > 1:
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                report = stratum_sweep(
-                    fam,
-                    args.trials,
-                    seed=args.seed,
-                    samples=args.samples,
-                    include_walls=not args.no_walls,
-                    mapper=pool.map,
-                )
-        else:
+        with ProcessPoolExecutor(args.workers) if args.workers > 1 else nullcontext() as pool:
             report = stratum_sweep(
                 fam,
                 args.trials,
                 seed=args.seed,
                 samples=args.samples,
                 include_walls=not args.no_walls,
+                mapper=pool.map if pool else map,
             )
     except AssertionError as exc:  # an internal cross-check failed
         _emit({"error": {"stage": "verify", "message": str(exc)}}, args.json)

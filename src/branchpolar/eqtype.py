@@ -90,13 +90,11 @@ class EquisingularityType:
 
 
 def _group_permutations(groups: list[list[int]]):
-    """All orderings that permute indices only within tie groups."""
-
-    def rec(k: int, prefix: tuple[int, ...]):
-        if k == len(groups):
-            yield prefix
-            return
-        for p in permutations(groups[k]):
-            yield from rec(k + 1, prefix + p)
-
-    yield from rec(0, ())
+    """All orderings that permute indices only within tie groups, yielded
+    lazily, the last group varying fastest."""
+    if not groups:
+        yield ()
+        return
+    for head in _group_permutations(groups[:-1]):
+        for p in permutations(groups[-1]):
+            yield head + p

@@ -42,6 +42,7 @@ and any disagreement is reported rather than hidden.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -55,17 +56,17 @@ from .errors import (
     NotReducedError,
     PrecisionError,
 )
-from .implicit import implicitize, milnor_number, polar
+from .implicit import implicitize, milnor_number, polar, shears
 from .poly import BivariatePolynomial
 from .puiseux import _base_tower, puiseux_tree
 from .series import TruncatedSeries, evaluate_bivariate
 from .tower import (
     Tower,
     TowerElement,
-    classify_value,
     compose_element,
     over_components,
     project_value,
+    unit_inverse,
 )
 from .unipoly import ucyclotomic
 
@@ -74,12 +75,7 @@ def intersection_multiplicity(b: PuiseuxBranch, g: BivariatePolynomial) -> int:
     """ord_t g(x(t), y(t)); PrecisionError when undetermined at the
     branch truncation."""
     s = evaluate_bivariate(g, b.n, b.y_series())
-    tower = b.tower() or _base_tower(g)
-    if tower is None:
-        o = s.order()
-        if o is None:
-            raise ValueError("the curve vanishes identically on the branch")
-        return o
+    tower = b.tower() or _base_tower(g) or Tower()
     results = over_components(
         tower, s, lambda tw, ss: ss.project(tw), lambda _tw, ss: ss.order()
     )
@@ -136,7 +132,7 @@ def _off_diagonal(pair: Tower, gens: list, base_height: int) -> list[Tower]:
         pair,
         diffs,
         lambda tw, ds: [project_value(d, tw) for d in ds],
-        lambda _tw, ds: all(classify_value(d)[0] == "zero" for d in ds),
+        lambda _tw, ds: all(unit_inverse(d) is None for d in ds),
         min_stage=base_height,
     )
     return [tw for tw, diagonal in results if not diagonal]
@@ -274,24 +270,19 @@ def branch_intersection(
 # -- the type of a reduced germ -------------------------------------------------------
 
 
-def equisingularity_type(
-    f: BivariatePolynomial,
-    rng: random.Random | None = None,
-) -> EquisingularityType:
+def equisingularity_type(f: BivariatePolynomial) -> EquisingularityType:
     """Canonical equisingularity type of a reduced germ, read off its
     Newton-polygon tree and certified as the module docstring says.
 
-    Germs with a branch tangent to x = 0 (an x-factor, or f(0, y) of higher
-    order than f) are sheared x -> x + sigma*y first, which changes nothing
-    topologically.  A germ with f(0,0) != 0 has no curve at the origin and
-    gets the empty type.
+    The tree is built for the first germ of :func:`~branchpolar.implicit.shears`
+    -- f itself, then f(x + sigma*y, y) for a fixed sequence of sigma --
+    with no branch tangent to x = 0, that is with ord_y f(0, y) equal to
+    the order of f; a shear changes nothing topologically.  A germ with
+    f(0,0) != 0 has no curve at the origin and gets the empty type.
     """
     if (0, 0) in f.terms:
         return EquisingularityType.of([], [])
-    if rng is None:
-        rng = random.Random(97)
-    work = f
-    for attempt in range(8):
+    for work in shears(f):
         if work.x_power_divisor() >= 2:
             raise NotReducedError("x^2 divides the germ")
         if work.y_power_divisor() >= 2:
@@ -300,10 +291,6 @@ def equisingularity_type(
         roots = min((j for (i, j) in work.terms if i == 0), default=None)
         if roots == min(i + j for (i, j) in work.terms):
             break
-        sigma = Fraction(rng.randint(1, 100), rng.randint(1, 100))
-        if rng.randint(0, 1):
-            sigma = -sigma
-        work = f.shift_x(sigma)
     else:
         raise GenericityError("could not shear away branches tangent to x = 0")
 
@@ -350,11 +337,11 @@ def generic_polar_type(
     b: PuiseuxBranch,
     samples: int = 3,
     rng: random.Random | None = None,
-    directions: list[tuple[Fraction, Fraction]] | None = None,
 ) -> PolarReport:
     """Equisingularity type of the general polar, certified by agreement over
-    sampled directions; disagreement returns the majority type flagged
-    uncertified with the dissenting directions listed."""
+    sampled directions; disagreement returns the majority type (the first
+    one seen among equal counts) flagged uncertified with the dissenting
+    directions listed."""
     if samples < 2:
         raise ValueError("genericity certification needs samples >= 2")
     if rng is None:
@@ -367,20 +354,14 @@ def generic_polar_type(
     picked: list[tuple[Fraction, Fraction]] = []
     types: list[EquisingularityType] = []
     teissier = True
-    want = samples if directions is None else len(directions)
     attempts = 0
-    while len(types) < want:
+    while len(types) < samples:
         attempts += 1
-        if attempts > want + 12:
+        if attempts > samples + 12:
             raise GenericityError("too many degenerate polar directions sampled")
-        if directions is not None:
-            if attempts > len(directions):
-                raise GenericityError("supplied directions were degenerate")
-            a, bb = directions[len(types)]
-        else:
-            a, bb = random_direction(rng)
-            if (a, bb) in picked:
-                continue
+        a, bb = random_direction(rng)
+        if (a, bb) in picked:
+            continue
         pf = polar(f, a, bb)
         try:
             t = equisingularity_type(pf)
@@ -391,27 +372,15 @@ def generic_polar_type(
             teissier = False
         picked.append((a, bb))
         types.append(t)
-    counts: list[tuple[EquisingularityType, int]] = []
-    for t in types:
-        for i, (u, c) in enumerate(counts):
-            if u == t:
-                counts[i] = (u, c + 1)
-                break
-        else:
-            counts.append((t, 1))
-    counts.sort(key=lambda uc: -uc[1])
-    majority = counts[0][0]
-    certified = len(counts) == 1
-    dissent = tuple(
-        (picked[i], types[i]) for i in range(len(types)) if types[i] != majority
-    )
+    counts = Counter(types)
+    majority = max(counts, key=counts.__getitem__)
     return PolarReport(
         polar_type=majority,
         directions=tuple(picked),
         milnor=mu,
         teissier_ok=teissier,
-        certified=certified,
-        dissent=dissent,
+        certified=len(counts) == 1,
+        dissent=tuple((d, t) for d, t in zip(picked, types) if t != majority),
     )
 
 
@@ -477,7 +446,7 @@ def stratum_sweep(
         (family, params, samples, seed * 1_000_003 + i)
         for i, params in enumerate(jobs)
     ]
-    groups: list[dict] = []
+    groups: dict[EquisingularityType, list[dict]] = {}
     errors: list[str] = []
     uncertified = 0
     teissier_failures = 0
@@ -485,32 +454,22 @@ def stratum_sweep(
         if isinstance(rep, str):
             errors.append(f"{params}: {rep}")
             continue
-        pm = rep.polar_type.milnor_number()
         if not rep.certified:
             uncertified += 1
         if not rep.teissier_ok:
             teissier_failures += 1
-        for grec in groups:
-            if grec["type"] == rep.polar_type:
-                grec["count"] += 1
-                grec["milnor"].add(pm)
-                if len(grec["examples"]) < 3:
-                    grec["examples"].append(params)
-                break
-        else:
-            groups.append(
-                {"type": rep.polar_type, "count": 1, "milnor": {pm}, "examples": [params]}
-            )
-    groups.sort(key=lambda gr: -gr["count"])
+        groups.setdefault(rep.polar_type, []).append(params)
+    # a stable sort: the first type seen leads among equal counts
+    ordered = sorted(groups.items(), key=lambda tp: -len(tp[1]))
     return SweepReport(
         groups=tuple(
             SweepGroup(
-                polar_type=gr["type"],
-                count=gr["count"],
-                polar_milnor=tuple(sorted(gr["milnor"])),
-                examples=tuple(gr["examples"]),
+                polar_type=t,
+                count=len(ps),
+                polar_milnor=(t.milnor_number(),),
+                examples=tuple(ps[:3]),
             )
-            for gr in groups
+            for t, ps in ordered
         ),
         trials=trials,
         errors=tuple(errors),

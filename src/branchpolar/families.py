@@ -322,7 +322,7 @@ def mult4_g2() -> BranchFamily:
     )
 
 
-def family(name: str, **params) -> BranchFamily:
+def family(name: str) -> BranchFamily:
     """Look up a family by its CLI-style name (e.g. 'gamma-5-12/10')."""
     if name.startswith("gamma-5-12/"):
         return gamma_5_12(int(name.split("/", 1)[1]))

@@ -101,9 +101,20 @@ def _origin_alone_on_y_axis(gx: BivariatePolynomial, gy: BivariatePolynomial) ->
     return bool(h) and all(value_is_zero(c) for c in h[:-1])
 
 
-def milnor_number(f: BivariatePolynomial, rng: random.Random | None = None) -> int:
-    """mu = ord_x Res_y(g_x, g_y) for g = f, or for a shear
-    g = f(x + sigma y, y) when f itself does not qualify.
+def shears(f: BivariatePolynomial):
+    """f, then f(x + sigma*y, y) for 7 values of sigma of height <= 100 and
+    either sign, drawn from one fixed seeded stream, so every caller tries
+    the same shears in the same order."""
+    yield f
+    rng = random.Random(0)
+    for _ in range(7):
+        sigma = Fraction(rng.randint(1, 100), rng.randint(1, 100))
+        yield f.shift_x(-sigma if rng.randint(0, 1) else sigma)
+
+
+def milnor_number(f: BivariatePolynomial) -> int:
+    """mu = ord_x Res_y(g_x, g_y) for the first germ g of :func:`shears`
+    that qualifies: f itself, or a shear f(x + sigma y, y).
 
     With lc_y(g) a unit, ord_x Res_y(g_x, g_y) is the sum of ord_x g_x(x, beta)
     over the roots beta of g_y.  Those roots stay bounded, since lc_y(g_y)
@@ -122,18 +133,13 @@ def milnor_number(f: BivariatePolynomial, rng: random.Random | None = None) -> i
     agreement between two of them certified nothing the locality check
     does not.
     """
-    if rng is None:
-        rng = random.Random(20260810)
-    g = f
-    for _ in range(6):
+    for g in shears(f):
         if (0, 0) in g.coefficient_of_y(g.degree_y()).terms:
             if g.degree_y() <= 1:
                 return 0  # g = c(x) y + b(x) with c(0) != 0: no critical point
             gx, gy = g.derivative_x(), g.derivative_y()
             if _origin_alone_on_y_axis(gx, gy):
                 break
-        sigma = Fraction(rng.randint(1, 100), rng.randint(1, 100))
-        g = f.shift_x(sigma)
     else:
         raise NonIsolatedSingularityError(
             "no shear x -> x + sigma y makes f y-general with the origin its "

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .tower import Value, invert_value, project_value, value_is_zero
+from .tower import Value, invert_value, project_value, unit_inverse, value_is_zero
 
 
 class BivariatePolynomial:
@@ -103,11 +103,8 @@ class BivariatePolynomial:
         every component, so zero-divisor coefficients split the tower."""
         if self.is_zero:
             raise ValueError("x_order of the zero polynomial")
-        from .tower import classify_value
-
         for i in sorted(i for i, _ in self.terms):
-            kind, _ = classify_value(self.terms[(i, 0)])
-            if kind == "unit":
+            if unit_inverse(self.terms[(i, 0)]) is not None:
                 return i
         raise ValueError("no invertible coefficient found")
 

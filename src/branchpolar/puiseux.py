@@ -60,7 +60,7 @@ from .implicit import milnor_number
 from .newton import join_clusters, newton_polygon
 from .poly import BivariatePolynomial, resultant_y
 from .series import TruncatedSeries, evaluate_bivariate
-from .tower import Tower, classify_value, over_components, project_value, value_is_zero
+from .tower import Tower, over_components, project_value, unit_inverse, value_is_zero
 from .unipoly import uyun
 
 
@@ -132,7 +132,7 @@ def _tree_node(f, tower, budget, known):
         raise NotReducedError("y^2 divides the germ")
     np_f = newton_polygon(f)
     for v in np_f.vertices:
-        classify_value(f.terms[v])  # a zero divisor splits the tower here
+        unit_inverse(f.terms[v])  # a zero divisor splits the tower here
     if known is not None and np_f.vertices and np_f.vertices[-1][0] >= known:
         raise PrecisionError("the Newton polygon is undetermined at this truncation")
     clusters = []
@@ -267,12 +267,12 @@ def _expand_side(f, side, tower, budget, depth, max_depth, known):
     child_budget = max(budget - qx, 4)
 
     def child(tw, root, mult):
-        classify_value(root)  # a zero divisor splits the tower here
+        unit_inverse(root)  # a zero divisor splits the tower here
         f2, known2 = _recenter(f, e, qx, root, child_budget, known)
         if mult == 1:
             terms, valid = _regular_solve(f2, child_budget, known2)
             for c in terms.values():
-                classify_value(c)
+                unit_inverse(c)
             children = [(tw if tw is not None else Tower(), 1, terms, valid)]
         else:
             if depth + 1 > max_depth:
@@ -358,8 +358,7 @@ def _regular_solve(f, budget, known) -> tuple[dict, int | None]:
     w = budget + 1
     fy = f.derivative_y()
     d0 = fy.terms.get((0, 0), Fraction(0))
-    kind, _ = classify_value(d0)
-    if kind != "unit":
+    if unit_inverse(d0) is None:
         raise AssertionError("regular solve called at a non-simple root")
     y = TruncatedSeries.zero(1)
     prec = 1

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import PrecisionError
-from .tower import Value, classify_value, invert_value, project_value, value_is_zero
+from .tower import Value, invert_value, project_value, unit_inverse, value_is_zero
 
 INF = None  # truncation sentinel: exact series
 
@@ -92,8 +92,7 @@ class TruncatedSeries:
         tower components).
         """
         for e in sorted(self.terms):
-            kind, _ = classify_value(self.terms[e])
-            if kind == "unit":
+            if unit_inverse(self.terms[e]) is not None:
                 return e
         if self.trunc is None:
             return None
@@ -214,22 +213,16 @@ class TruncatedSeries:
         if trunc < 1:
             raise ValueError("inverse needs a positive target order")
         c0 = self.terms.get(0, Fraction(0))
-        inv0 = invert_value(c0)  # ZeroDivisionError on non-units is intended
-        g = {0: inv0}
+        g = TruncatedSeries({0: invert_value(c0)})  # ZeroDivisionError on non-units is intended
+        one = TruncatedSeries.constant(Fraction(1))
         prec = 1
-        a = self.terms
         while prec < trunc:
+            # a Newton step takes a*g = 1 + O(t^(prec/2)) to 1 + O(t^prec), a
+            # doubling the series bookkeeping cannot see: g is declared first
             prec = min(2 * prec, trunc)
-            h = _raw_mul(a, g, prec)  # a*g = 1 + O(t^(prec/2))
-            err = {e: c for e, c in h.items() if e}
-            corr = _raw_mul(err, g, prec)
-            for e, c in corr.items():
-                s = g.get(e, Fraction(0)) - c
-                if value_is_zero(s):
-                    g.pop(e, None)
-                else:
-                    g[e] = s
-        return TruncatedSeries(g, trunc)
+            g = g.declare_trunc(prec)
+            g = g - (self.truncate(prec) * g - one) * g
+        return g.declare_trunc(trunc)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -242,25 +235,6 @@ class TruncatedSeries:
         bits = [f"({self.terms[e]})t^{e}" for e in sorted(self.terms)]
         tail = "" if self.trunc is None else f" + O(t^{self.trunc})"
         return "Series(" + (" + ".join(bits) or "0") + tail + ")"
-
-
-def _raw_mul(a: dict, b: dict, prec: int | None) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        if prec is not None and e1 >= prec:
-            continue
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if prec is not None and e >= prec:
-                continue
-            p = c1 * c2
-            if e in out:
-                p = out[e] + p
-            if value_is_zero(p):
-                out.pop(e, None)
-            else:
-                out[e] = p
-    return out
 
 
 def evaluate_bivariate(f, n: int, ys: TruncatedSeries) -> TruncatedSeries:

@@ -22,10 +22,13 @@ over one common denominator.  A product is D^2 integer multiplications into
 those monomials, one pass through the table and one gcd.
 
 Inversion is per level: an extended Euclid of the top-level coefficients
-(prefix-tower elements) against the top minimal polynomial, classifying
+(prefix-tower elements) against the top minimal polynomial, inverting
 leading coefficients one level down.  A proper gcd splits the tower at the
 lowest level where a zero divisor shows, and every level above it is
-re-reduced in each component.
+re-reduced in each component.  :func:`unit_inverse` is the one question
+every caller asks -- is this value invertible? -- and its answer is data:
+the inverse, ``None`` for zero, or a :class:`TowerSplit` for a zero
+divisor.
 
 ``Level.minpoly`` and ``TowerElement.rep`` keep the nested form for report
 JSON and :func:`compose_element`: a stage-0 representation is a
@@ -400,16 +403,8 @@ class TowerElement:
     def __bool__(self) -> bool:
         return any(self.num)
 
-    def classify(self):
-        """("zero"|"unit", inverse or None); may raise :class:`TowerSplit`."""
-        inv = _inverse(self.tower, self.tower.height, self)
-        return ("zero", None) if inv is None else ("unit", inv)
-
     def inverse(self) -> "TowerElement":
-        kind, inv = self.classify()
-        if kind == "zero":
-            raise ZeroDivisionError("inversion of zero tower element")
-        return inv
+        return invert_value(self)
 
     # -- coercion ------------------------------------------------------------
 
@@ -504,22 +499,20 @@ def value_is_zero(v: Value) -> bool:
     return v == 0
 
 
-def classify_value(v: Value):
-    """("zero"|"unit", inverse) for a rational or tower element.
+def unit_inverse(v: Value) -> Value | None:
+    """The inverse of a rational or tower element, or None when it is zero.
 
-    Raises :class:`TowerSplit` on zero divisors.
+    Raises :class:`TowerSplit` on a zero divisor.
     """
     if isinstance(v, TowerElement):
-        return v.classify()
+        return _inverse(v.tower, v.tower.height, v)
     v = Fraction(v)
-    if v == 0:
-        return ("zero", None)
-    return ("unit", Fraction(1) / v)
+    return Fraction(1) / v if v else None
 
 
 def invert_value(v: Value) -> Value:
-    kind, inv = classify_value(v)
-    if kind == "zero":
+    inv = unit_inverse(v)
+    if inv is None:
         raise ZeroDivisionError("inversion of zero")
     return inv
 

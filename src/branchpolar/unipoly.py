@@ -4,8 +4,8 @@ Polynomials here are plain dense coefficient lists (index = degree, trailing
 ring-zeros stripped) whose entries are rationals or tower elements.  This is
 the layer used for side polynomials, minimal polynomials, gcd and squarefree
 computations during Newton-Puiseux root taking.  Everything is exact;
-inversions go through the D5 classification, so any of these functions may
-raise :class:`~branchpolar.tower.TowerSplit`.
+inversions go through :func:`~branchpolar.tower.unit_inverse`, so any of
+these functions may raise :class:`~branchpolar.tower.TowerSplit`.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from fractions import Fraction
 
 from .tower import (
     Tower,
+    TowerElement,
     Value,
-    classify_value,
     over_components,
     project_value,
+    unit_inverse,
     value_is_zero,
 )
 
@@ -77,11 +78,8 @@ def umonic(p: UPoly) -> tuple[UPoly, Value]:
     p = ustrip(p)
     if not p:
         raise ZeroDivisionError("monic normalization of the zero polynomial")
-    kind, inv = classify_value(p[-1])
-    while kind == "zero":  # defensive: ustrip uses ring-zero, classify agrees
-        p.pop()
-        kind, inv = classify_value(p[-1])
     lc = p[-1]
+    inv = unit_inverse(lc)
     if inv == 1:
         return list(p), lc
     return [c * inv for c in p[:-1]] + [_one_like(inv)], lc
@@ -99,9 +97,7 @@ def udivmod(p: UPoly, d: UPoly) -> tuple[UPoly, UPoly]:
     d = ustrip(d)
     if not d:
         raise ZeroDivisionError("division by zero polynomial")
-    kind, inv = classify_value(d[-1])
-    if kind == "zero":
-        raise AssertionError("unstripped divisor")
+    inv = unit_inverse(d[-1])
     num = list(p)
     dd = len(d) - 1
     q = [Fraction(0)] * max(0, len(num) - dd)
@@ -166,8 +162,9 @@ def uyun(p: UPoly) -> list[tuple[UPoly, int]]:
     return out
 
 
-def is_squarefree(p: UPoly, tower: Tower | None = None) -> bool:
-    """True iff gcd(p, p') is a unit in every D5 component.
+def is_squarefree(p: UPoly) -> bool:
+    """True iff gcd(p, p') is a unit in every D5 component of the tower of
+    p's coefficients.
 
     A component where the gcd is nonconstant witnesses a multiple root, and
     per the dynamic-evaluation contract the aggregate answer is then False.
@@ -175,14 +172,7 @@ def is_squarefree(p: UPoly, tower: Tower | None = None) -> bool:
     p = ustrip(p)
     if not p:
         raise ValueError("squarefree test of the zero polynomial")
-    if tower is None:
-        for c in p:
-            tw = getattr(c, "tower", None)
-            if tw is not None:
-                tower = tw
-                break
-    if tower is None:
-        return udeg(ugcd(p, uderiv(p))) == 0
+    tower = next((c.tower for c in p if isinstance(c, TowerElement)), Tower())
 
     def proj(comp, poly):
         return [project_value(c, comp) for c in poly]

@@ -15,11 +15,11 @@ from branchpolar.series import TruncatedSeries, evaluate_bivariate
 from branchpolar.tower import (
     Tower,
     TowerElement,
-    classify_value,
     compose_element,
     invert_value,
     over_components,
     project_value,
+    unit_inverse,
 )
 from branchpolar.unipoly import ucyclotomic
 
@@ -181,8 +181,7 @@ def regular_solve_full(f: BivariatePolynomial, budget: int) -> tuple[dict, int |
     validity order."""
     w = budget + 1
     fy = f.derivative_y()
-    kind, _ = classify_value(fy.terms.get((0, 0), Fraction(0)))
-    if kind != "unit":
+    if unit_inverse(fy.terms.get((0, 0), Fraction(0))) is None:
         raise AssertionError("regular solve called at a non-simple root")
     y = TruncatedSeries.zero(1)
     prec = 1

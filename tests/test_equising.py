@@ -218,6 +218,33 @@ def test_sweep_deterministic_and_mapper_independent():
     assert r3 == r1
 
 
+class _MonomialFamily:
+    """Stub family: the walls are the trials, and trial params {"n": n, "i": i}
+    give the branch x = t^n, y = t^(n+1), whose general polar is one branch
+    with semigroup <n-1, n> (smooth for n = 2)."""
+
+    def __init__(self, ns):
+        self.walls = [{"n": n, "i": i} for i, n in enumerate(ns)]
+
+    def branch(self, params):
+        return PuiseuxBranch.from_terms(params["n"], {params["n"] + 1: F(1)})
+
+
+def test_sweep_groups_by_count_then_first_seen():
+    for first, second in [(3, 2), (2, 3)]:
+        ns = [4] + [first, second] * 4
+        rep = stratum_sweep(_MonomialFamily(ns), len(ns))
+        assert [g.count for g in rep.groups] == [4, 4, 1]
+        # equal counts keep the order in which the types were first seen
+        assert [g.examples[0]["n"] for g in rep.groups] == [first, second, 4]
+        # at most three examples, the earliest trials
+        assert [[p["i"] for p in g.examples] for g in rep.groups][:2] == [[1, 3, 5], [2, 4, 6]]
+        milnor = {2: 0, 3: 2, 4: 6}  # mu of the polar types: smooth, <2,3>, <3,4>
+        assert [g.polar_milnor for g in rep.groups] == [
+            (milnor[g.examples[0]["n"]],) for g in rep.groups
+        ]
+
+
 def test_sweep_rejects_zero_trials():
     with pytest.raises(ValueError):
         stratum_sweep(gamma_5_12(8), 0)

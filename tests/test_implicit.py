@@ -11,7 +11,7 @@ from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
 from branchpolar.equising import equisingularity_type, random_direction
 from branchpolar.errors import NonIsolatedSingularityError
 from branchpolar.families import SQRT6
-from branchpolar.implicit import implicitize, milnor_number, polar
+from branchpolar.implicit import implicitize, milnor_number, polar, shears
 from branchpolar.poly import BivariatePolynomial as BP
 from branchpolar.series import evaluate_bivariate
 
@@ -211,6 +211,14 @@ def test_milnor_counts_the_origin_alone():
     assert milnor_number(f) == 2
     t = equisingularity_type(f)
     assert [s.generators for s in t.branches] == [(2, 3)] and t.milnor_number() == 2
+
+
+def test_shears_are_one_fixed_stream():
+    # f first, then seven distinct shears, the same ones on every call
+    f = _cusp_at(0)
+    gs = list(shears(f))
+    assert gs[0] is f and gs == list(shears(f))
+    assert len({tuple(sorted(g.terms.items())) for g in gs}) == 8
 
 
 def test_milnor_rejects_locality_failing_for_every_shear():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from branchpolar.tower import Tower, TowerElement, TowerSplit, over_components
+from branchpolar.tower import Tower, TowerElement, TowerSplit, over_components, unit_inverse
 from branchpolar.unipoly import (
     is_squarefree,
     ucyclotomic,
@@ -41,8 +41,7 @@ def test_associativity_and_inverse_random(rng):
     for x in vals:
         if x.is_zero:
             continue
-        kind, inv = x.classify()
-        assert kind == "unit"
+        inv = unit_inverse(x)
         assert x * inv == 1
 
 
@@ -85,15 +84,24 @@ def test_over_components_covers_tree():
     e = t.generator(1)
 
     def compute(tw, elem):
-        val = tw.project_value(elem)
-        kind, _ = val.classify()
-        return kind
+        return unit_inverse(tw.project_value(elem)) is None
 
     results = over_components(t, e, lambda tw, v: v, compute)
-    kinds = sorted(k for _tw, k in results)
-    assert kinds == ["unit", "zero"] or kinds == ["unit", "unit", "zero"]
+    zeros = sorted(z for _tw, z in results)
+    assert zeros == [False, True] or zeros == [False, False, True]
     total = sum(tw.dim for tw, _ in results)
     assert total == 3
+
+
+def test_unit_inverse_reports_zero_and_splits():
+    assert unit_inverse(F(0)) is None
+    assert unit_inverse(F(-3, 4)) == F(-4, 3)
+    a = SQRT2.generator(1)
+    assert unit_inverse(1 + a) == a - 1
+    assert unit_inverse(SQRT2.zero()) is None
+    t = Tower().adjoin("e", (F(0), F(-1), F(0), F(1)))  # z^3 - z = z(z-1)(z+1)
+    with pytest.raises(TowerSplit):
+        unit_inverse(t.generator(1))
 
 
 def test_is_squarefree_examples():
