@@ -7,8 +7,12 @@ y = sum c_i t^i with exact coefficients:
 * the set of differential values and the Zariski invariant;
 * the implicit Weierstrass equation, polar curves and Milnor numbers;
 * Newton polygons, non-degeneracy, and the equisingularity type of the
-  general polar, through either polygon combinatorics or a full
-  Newton-Puiseux factorization over dynamic-evaluation towers.
+  general polar, read off the Newton-polygon tree over dynamic-evaluation
+  towers (Duval's substitution).
+
+``puiseux_expand``, ``pair_intersection_values`` and ``nondegenerate_type``
+are not on the type path: they stay as the reference the tests compare the
+tree against and as names the benchmark traces.
 
 Everything is exact: rationals throughout, algebraic numbers as roots of
 squarefree polynomials in extension towers that split on demand (D5).
@@ -27,7 +31,6 @@ from .eqtype import EquisingularityType
 from .equising import (
     PolarReport,
     SweepReport,
-    branch_intersection,
     equisingularity_type,
     generic_polar_type,
     intersection_multiplicity,
@@ -84,7 +87,6 @@ __all__ = [
     "TowerSplit",
     "TruncatedSeries",
     "analyze",
-    "branch_intersection",
     "differential_values",
     "equisingularity_type",
     "family",

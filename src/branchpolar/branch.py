@@ -15,21 +15,14 @@ semigroup generator is a differential value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import NormalFormMismatchError, PrecisionError
 from .semigroup import NumericalSemigroup, semigroup_from_generators
 from .series import TruncatedSeries
-from .tower import (
-    Tower,
-    Value,
-    over_components,
-    project_value,
-    unit_inverse,
-    value_is_zero,
-)
+from .tower import Tower, Value, over_components, tower_of, unit_inverse
 from .unipoly import udeg, ugcd, ustrip
 
 
@@ -70,7 +63,7 @@ class PuiseuxBranch:
         clean = tuple(
             (int(e), c if not isinstance(c, int) else Fraction(c))
             for e, c in items
-            if not value_is_zero(c)
+            if c
         )
         return PuiseuxBranch(n, clean, trunc, conjugacy)
 
@@ -83,25 +76,13 @@ class PuiseuxBranch:
         return self.y_terms[0][0] if self.y_terms else None
 
     def tower(self) -> Tower | None:
-        for _, c in self.y_terms:
-            tw = getattr(c, "tower", None)
-            if tw is not None:
-                return tw
-        return None
+        return tower_of(c for _, c in self.y_terms)
 
     def y_series(self, trunc: int | None = None) -> TruncatedSeries:
         t = self.trunc if trunc is None else (
             trunc if self.trunc is None else min(trunc, self.trunc)
         )
         return TruncatedSeries(dict(self.y_terms), t)
-
-    def project(self, tower: Tower) -> "PuiseuxBranch":
-        return PuiseuxBranch(
-            self.n,
-            tuple((e, project_value(c, tower)) for e, c in self.y_terms),
-            self.trunc,
-            self.conjugacy,
-        )
 
     def __repr__(self):
         ts = " + ".join(f"({c})t^{e}" for e, c in self.y_terms) or "0"
@@ -116,14 +97,12 @@ class DifferentialValues:
 
     gamma: NumericalSemigroup
     extra: frozenset[int]
-    lam: int | None = field(default=None)
 
-    def __post_init__(self):
-        expected = min(self.extra) - self.gamma.multiplicity if self.extra else None
-        if self.lam is None:
-            object.__setattr__(self, "lam", expected)
-        elif self.lam != expected:
-            raise ValueError("lambda inconsistent with min(extra) - v0")
+    @property
+    def lam(self) -> int | None:
+        """The Zariski invariant: min(extra) - v0, or None when the extra set
+        is empty."""
+        return min(self.extra) - self.gamma.multiplicity if self.extra else None
 
 
 def characteristic_exponents(b: PuiseuxBranch) -> list[int]:
@@ -265,7 +244,7 @@ def normal_form_equivalent(b1: PuiseuxBranch, b2: PuiseuxBranch, lam: int) -> bo
     if e < 1:
         raise ValueError("lambda must exceed the y-order of the normal form")
 
-    tower = b1.tower() or b2.tower() or Tower()
+    tower = tower_of(c for _, c in b1.y_terms + b2.y_terms) or Tower()
 
     def compute(_tw, pair):
         t1, t2 = pair
@@ -280,14 +259,7 @@ def normal_form_equivalent(b1: PuiseuxBranch, b2: PuiseuxBranch, lam: int) -> bo
                 return False
         return udeg(g) >= 1
 
-    def proj(tw, data):
-        a, b = data
-        return (
-            tuple((i, project_value(c, tw)) for i, c in a),
-            tuple((i, project_value(c, tw)) for i, c in b),
-        )
-
-    pairs = over_components(tower, (b1.y_terms, b2.y_terms), proj, compute)
+    pairs = over_components(tower, (b1.y_terms, b2.y_terms), compute)
     results = [r for _tw, r in pairs]
     if all(results):
         return True

@@ -54,14 +54,6 @@ class EquisingularityType:
         bs = tuple(branches[i] for i in best_perm)
         return EquisingularityType(bs, best)
 
-    @staticmethod
-    def single(branch: NumericalSemigroup) -> "EquisingularityType":
-        return EquisingularityType((branch,), ((0,),))
-
-    @property
-    def branch_count(self) -> int:
-        return len(self.branches)
-
     def milnor_number(self) -> int:
         """mu of the reduced germ from branch conductors and intersections:
         mu = sum mu_i + 2 sum_{i<j} I_ij - (r - 1), and 0 for the empty germ."""

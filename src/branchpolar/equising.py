@@ -1,5 +1,4 @@
-"""Equisingularity types of reduced germs and of general polar curves, and
-intersection multiplicities of tower-valued branches.
+"""Equisingularity types of reduced germs and of general polar curves.
 
 The type of a germ is read off its Newton-polygon tree
 (:func:`~branchpolar.puiseux.puiseux_tree`): the branches' characteristic
@@ -7,9 +6,14 @@ exponents give their semigroups, and the tree gives their intersection
 numbers.  Three checks certify it: the multiplicities add up to the number
 of y-roots through the origin, every semigroup passes the conductor
 formula, and the type's Milnor number equals the one from the resultant.
+:func:`intersection_multiplicity` of a branch with a curve serves the
+Teissier check of the general polar.
 
-Intersection multiplicities of two expanded branches are computed by sheet
-sums on a common ramification cover:
+The pair towers below are not on the type path.  They stay as the
+reference the tests compare the tree against and as a name the benchmark
+traces (:func:`pair_intersection_values`).  Intersection multiplicities of
+two expanded branches are computed by sheet sums on a common ramification
+cover:
 
     I(b1, b2) = (n1 / L) * sum_{j < n2} ord_u( Y1(u^(L/n1)) - Y2(zeta^j u^(L/n2)) ),
 
@@ -58,7 +62,7 @@ from .errors import (
 )
 from .implicit import implicitize, milnor_number, polar, shears
 from .poly import BivariatePolynomial
-from .puiseux import _base_tower, puiseux_tree
+from .puiseux import puiseux_tree
 from .series import TruncatedSeries, evaluate_bivariate
 from .tower import (
     Tower,
@@ -66,6 +70,7 @@ from .tower import (
     compose_element,
     over_components,
     project_value,
+    tower_of,
     unit_inverse,
 )
 from .unipoly import ucyclotomic
@@ -75,10 +80,8 @@ def intersection_multiplicity(b: PuiseuxBranch, g: BivariatePolynomial) -> int:
     """ord_t g(x(t), y(t)); PrecisionError when undetermined at the
     branch truncation."""
     s = evaluate_bivariate(g, b.n, b.y_series())
-    tower = b.tower() or _base_tower(g) or Tower()
-    results = over_components(
-        tower, s, lambda tw, ss: ss.project(tw), lambda _tw, ss: ss.order()
-    )
+    tower = tower_of(s.terms.values()) or Tower()
+    results = over_components(tower, s, lambda _tw, ss: ss.order())
     orders = {o for _tw, o in results}
     if None in orders:
         raise ValueError("the curve vanishes identically on the branch")
@@ -131,7 +134,6 @@ def _off_diagonal(pair: Tower, gens: list, base_height: int) -> list[Tower]:
     results = over_components(
         pair,
         diffs,
-        lambda tw, ds: [project_value(d, tw) for d in ds],
         lambda _tw, ds: all(unit_inverse(d) is None for d in ds),
         min_stage=base_height,
     )
@@ -186,14 +188,6 @@ def pair_intersection_values(
     pair, gens = _cross_pair_setup(b1.tower(), b2.tower(), base_height)
     comps = _off_diagonal(pair, gens, base_height) if self_pair else [pair]
 
-    def proj(tw, data):
-        yy1, yy2, zz = data
-        return (
-            yy1.project(tw),
-            tuple((e, project_value(c, tw)) for e, c in yy2),
-            project_value(zz, tw),
-        )
-
     def compute(tw, data):
         yy1, yy2, zz = data
         total = 0
@@ -235,7 +229,7 @@ def pair_intersection_values(
                 c2 = cur.from_rational(c) if cur.height else c
             y2_terms.append((e, c2))
         results = over_components(
-            cur, (y1u, tuple(y2_terms), zeta), proj, compute, min_stage=base_height
+            cur, (y1u, tuple(y2_terms), zeta), compute, min_stage=base_height
         )
         for tw, value in results:
             if value is not None:
@@ -250,21 +244,6 @@ def pair_intersection_values(
     if total > want:
         raise AssertionError(f"pair count {total} > {want}")
     return out
-
-
-def branch_intersection(
-    b1: PuiseuxBranch,
-    b2: PuiseuxBranch,
-    base_height: int = 0,
-) -> int:
-    """Intersection multiplicity of two distinct branches (a single number;
-    conjugate families whose pairs differ raise AmbiguousPairingError)."""
-    values = pair_intersection_values(b1, b2, base_height)
-    if not values:
-        raise ValueError("branches coincide (no distinct pairs)")
-    if len(values) > 1:
-        raise AmbiguousPairingError(f"pairwise values differ: {sorted(values)}")
-    return next(iter(values))
 
 
 # -- the type of a reduced germ -------------------------------------------------------

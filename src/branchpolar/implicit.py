@@ -27,7 +27,7 @@ from .branch import PuiseuxBranch
 from .errors import NonIsolatedSingularityError
 from .poly import BivariatePolynomial, resultant_y
 from .series import TruncatedSeries, evaluate_bivariate
-from .tower import Value, value_is_zero
+from .tower import Value
 from .unipoly import ugcd
 
 
@@ -88,7 +88,7 @@ def polar(f: BivariatePolynomial, a: Value, b: Value) -> BivariatePolynomial:
         a = Fraction(a)
     if isinstance(b, int):
         b = Fraction(b)
-    if value_is_zero(a) and value_is_zero(b):
+    if not (a or b):
         raise ValueError("polar direction (0,0) rejected")
     return f.derivative_x() * BivariatePolynomial.constant(a) + f.derivative_y() * BivariatePolynomial.constant(b)
 
@@ -98,7 +98,7 @@ def _origin_alone_on_y_axis(gx: BivariatePolynomial, gy: BivariatePolynomial) ->
     is, their gcd is a power of y (gcd(0, p) = p)."""
     on_axis = ([g.terms.get((0, j), Fraction(0)) for j in range(g.degree_y() + 1)] for g in (gx, gy))
     h = ugcd(*on_axis)
-    return bool(h) and all(value_is_zero(c) for c in h[:-1])
+    return bool(h) and not any(h[:-1])
 
 
 def shears(f: BivariatePolynomial):

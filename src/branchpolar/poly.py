@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping
 
-from .tower import Value, invert_value, project_value, unit_inverse, value_is_zero
+from .tower import Value, invert_value, unit_inverse
 
 
 class BivariatePolynomial:
@@ -42,7 +42,7 @@ class BivariatePolynomial:
             for (i, j), c in terms.items():
                 if i < 0 or j < 0:
                     raise ValueError("negative exponent in support")
-                if not value_is_zero(c):
+                if c:
                     clean[(i, j)] = c
         self.terms = clean
 
@@ -115,7 +115,7 @@ class BivariatePolynomial:
         for k, c in other.terms.items():
             if k in terms:
                 s = terms[k] + c
-                if value_is_zero(s):
+                if not s:
                     del terms[k]
                 else:
                     terms[k] = s
@@ -143,7 +143,7 @@ class BivariatePolynomial:
                 p = c1 * c2
                 if k in terms:
                     p = terms[k] + p
-                if value_is_zero(p):
+                if not p:
                     terms.pop(k, None)
                 else:
                     terms[k] = p
@@ -157,7 +157,7 @@ class BivariatePolynomial:
     def scale(self, c) -> "BivariatePolynomial":
         if isinstance(c, int):
             c = Fraction(c)
-        if value_is_zero(c):
+        if not c:
             return BivariatePolynomial()
         out = BivariatePolynomial.__new__(BivariatePolynomial)
         out.terms = {k: v * c for k, v in self.terms.items()}
@@ -203,7 +203,7 @@ class BivariatePolynomial:
                 add = c * (comb(i, k) * sigma ** (i - k))
                 if key in terms:
                     add = terms[key] + add
-                if value_is_zero(add):
+                if not add:
                     terms.pop(key, None)
                 else:
                     terms[key] = add
@@ -220,14 +220,6 @@ class BivariatePolynomial:
         if q == 0:
             return 0, self
         return q, BivariatePolynomial({(i, j - q): c for (i, j), c in self.terms.items()})
-
-    def project(self, tower) -> "BivariatePolynomial":
-        return BivariatePolynomial(
-            {k: project_value(c, tower) for k, c in self.terms.items()}
-        )
-
-    def map_values(self, fn) -> "BivariatePolynomial":
-        return BivariatePolynomial({k: fn(c) for k, c in self.terms.items()})
 
     # -- exact division -------------------------------------------------------------
 
@@ -256,7 +248,7 @@ class BivariatePolynomial:
             for (i, j), dc in d.terms.items():
                 key = (i + mi, j + mj)
                 v = rem.get(key, Fraction(0)) - c * dc
-                if value_is_zero(v):
+                if not v:
                     rem.pop(key, None)
                 else:
                     rem[key] = v
@@ -417,70 +409,49 @@ def _prem(f: MainPoly, g: MainPoly) -> MainPoly:
     return r
 
 
-def subresultant_prs(f: MainPoly, g: MainPoly) -> tuple[list[MainPoly], list]:
-    """Brown's subresultant PRS.
+def prs_resultant(f: MainPoly, g: MainPoly):
+    """Resultant of two main-variable polynomials, an element of their
+    coefficient ring, with the Sylvester sign convention.
 
-    Returns the remainder sequence and the scalar subresultants; when the
-    last PRS element has main-degree zero, the last scalar is the resultant
-    of the (possibly swapped) pair.
+    Brown's subresultant PRS keeps only the last two remainders and the last
+    scalar subresultant, which is the resultant when the last remainder has
+    main-degree zero; a remainder sequence ending at a positive degree means
+    a common factor and a zero resultant.  The PRS runs with the larger
+    degree first, which costs a factor (-1)^(deg f * deg g) when the
+    arguments are swapped.
     """
     f, g = _mstrip(f), _mstrip(g)
+    if not f or not g:
+        raise ValueError("resultant of the zero polynomial")
     n, m = _mdeg(f), _mdeg(g)
+    if n == 0 and m == 0:
+        raise ValueError("resultant of two constants is not defined here")
+    if n == 0:
+        return f[0] ** m
+    if m == 0:
+        return g[0] ** n
+    negate = n < m and (n * m) % 2
     if n < m:
-        f, g = g, f
-        n, m = m, n
-    if n < 0:
-        return [], []
-    if m < 0:
-        return [f], [f[-1].one()]
-    one = g[-1].one()
-    R = [f, g]
+        f, g, n, m = g, f, m, n
     d = n - m
-    sign = -one if (d + 1) % 2 else one
     h = _prem(f, g)
-    h = _mscale(h, sign)
+    if d % 2 == 0:
+        h = [-hi for hi in h]
     lc = g[-1]
-    c = lc ** d
-    S = [one, c]
-    c = -c
+    c = -(lc ** d)  # minus the last scalar subresultant
     while h:
         k = _mdeg(h)
-        R.append(h)
         f, g, m, d = g, h, k, m - k
         b = -(lc * (c ** d))
-        h = _prem(f, g)
-        h = _mquo_ground(h, b)
+        h = _mquo_ground(_prem(f, g), b)
         lc = g[-1]
         if d > 1:
             c = ((-lc) ** d).exact_div(c ** (d - 1))
         else:
             c = -lc
-        S.append(-c)
-    return R, S
-
-
-def prs_resultant(f: MainPoly, g: MainPoly):
-    """Resultant of two main-variable polynomials, an element of their
-    coefficient ring, with the Sylvester sign convention (the internal PRS
-    swaps arguments of increasing degree, which costs a factor
-    (-1)^(deg f * deg g))."""
-    f, g = _mstrip(f), _mstrip(g)
-    if not f or not g:
-        return BivariatePolynomial.zero()
-    if _mdeg(f) == 0 and _mdeg(g) == 0:
-        raise ValueError("resultant of two constants is not defined here")
-    if _mdeg(f) == 0:
-        return f[0] ** _mdeg(g)
-    if _mdeg(g) == 0:
-        return g[0] ** _mdeg(f)
-    swapped = _mdeg(f) < _mdeg(g)
-    R, S = subresultant_prs(f, g)
-    if _mdeg(R[-1]) > 0:
-        return R[-1][-1].zero()
-    res = S[-1]
-    if swapped and (_mdeg(f) * _mdeg(g)) % 2:
-        res = -res
-    return res
+    if _mdeg(g) > 0:
+        return g[-1].zero()
+    return c if negate else -c
 
 
 def resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:

@@ -17,6 +17,8 @@ separated: a finished branch whose tower has relative degree D over the
 expansion base represents D / N geometric branches (N its ramification),
 since the side polynomial is invariant under z -> zeta z for zeta^e = 1 and
 each geometric branch occurs once per reparametrization t -> zeta t.
+The expansion is not on the type path: it stays as the reference the tests
+compare :func:`puiseux_tree` against, and as a name the benchmark traces.
 
 :func:`puiseux_tree` reads the type data off the tree alone: the
 characteristic exponents and the intersection numbers of the branches.
@@ -60,16 +62,8 @@ from .implicit import milnor_number
 from .newton import join_clusters, newton_polygon
 from .poly import BivariatePolynomial, resultant_y
 from .series import TruncatedSeries, evaluate_bivariate
-from .tower import Tower, over_components, project_value, unit_inverse, value_is_zero
+from .tower import Tower, over_components, project_value, tower_of, unit_inverse
 from .unipoly import uyun
-
-
-def _base_tower(f: BivariatePolynomial) -> Tower | None:
-    for c in f.terms.values():
-        tw = getattr(c, "tower", None)
-        if tw is not None:
-            return tw
-    return None
 
 
 _DOUBLINGS = 3  # budget doublings before a precision shortfall is final
@@ -103,7 +97,7 @@ def _over_root(tower: Tower | None, g: list, child):
         tw = comp.prefix(h + 1)
         return child(tw, tw.generator(h + 1))
 
-    results = over_components(top, None, lambda _comp, _: None, compute, min_stage=h)
+    results = over_components(top, None, compute, min_stage=h)
     return [(comp.degrees[h], res) for comp, res in results]
 
 
@@ -118,7 +112,7 @@ def puiseux_tree(f: BivariatePolynomial, budget: int) -> tuple[list[tuple[int, .
     truncated above x1^budget; a shortfall doubles the budget."""
     if f.x_power_divisor() > 0:
         raise ValueError("x divides f: the vertical axis branch has no x = t^n form")
-    base = _base_tower(f) or Tower()
+    base = tower_of(f.terms.values()) or Tower()
     return _doubling(lambda b: _tree_node(f, base, b, None), budget)
 
 
@@ -186,7 +180,7 @@ def puiseux_expand(f: BivariatePolynomial, target_order: int | None = None) -> l
         raise ValueError("f(0,0) != 0: no germ at the origin")
     if resultant_y(f, f.derivative_y()).is_zero:
         raise NotReducedError("f and f_y share a y-factor")
-    base = _base_tower(f)
+    base = tower_of(f.terms.values())
     base_height = base.height if base is not None else 0
     deg = f.degree_y()
     if target_order is None:
@@ -282,7 +276,7 @@ def _expand_side(f, side, tower, budget, depth, max_depth, known):
             children = _expand_germ(f2, tw, child_budget, depth + 1, max_depth, known2)
         out = []
         for tw3, n_c, terms_c, valid in children:
-            root3 = project_value(root, tw3 if tw3.height else None)
+            root3 = project_value(root, tw3) if tw3.height else root
             terms = {qx * n_c + k: v for k, v in terms_c.items()}
             terms[qx * n_c] = root3
             # the recentering y = x1^q (root + y1) shifts validity upward
@@ -325,7 +319,7 @@ def _recenter(f, e, q, root, budget, known, scale=1):
             add = c * (comb(j, k) * rpow[j - k])
             if key in terms:
                 add = terms[key] + add
-            if value_is_zero(add):
+            if not add:
                 terms.pop(key, None)
             else:
                 terms[key] = add

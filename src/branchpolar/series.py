@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import PrecisionError
-from .tower import Value, invert_value, project_value, unit_inverse, value_is_zero
+from .tower import Value, invert_value, project_value, unit_inverse
 
 INF = None  # truncation sentinel: exact series
 
@@ -48,7 +48,7 @@ class TruncatedSeries:
                     raise ValueError("negative exponent in series")
                 if trunc is not None and e >= trunc:
                     continue
-                if not value_is_zero(c):
+                if c:
                     clean[e] = c
         self.terms = clean
         self.trunc = trunc
@@ -109,11 +109,6 @@ class TruncatedSeries:
         the operator-level bookkeeping (used after Newton iterations)."""
         return TruncatedSeries(self.terms, trunc)
 
-    def coefficient(self, e: int) -> Value:
-        if self.trunc is not None and e >= self.trunc:
-            raise PrecisionError(f"coefficient of t^{e} beyond truncation t^{self.trunc}")
-        return self.terms.get(e, Fraction(0))
-
     def project(self, tower) -> "TruncatedSeries":
         return TruncatedSeries(
             {e: project_value(c, tower) for e, c in self.terms.items()}, self.trunc
@@ -139,7 +134,7 @@ class TruncatedSeries:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, Fraction(0)) + c
-            if value_is_zero(s):
+            if not s:
                 terms.pop(e, None)
             else:
                 terms[e] = s
@@ -152,7 +147,7 @@ class TruncatedSeries:
         return self + (-other)
 
     def scale(self, c: Value) -> "TruncatedSeries":
-        if value_is_zero(c):
+        if not c:
             return TruncatedSeries.zero(self.trunc)
         return TruncatedSeries({e: v * c for e, v in self.terms.items()}, self.trunc)
 
@@ -180,7 +175,7 @@ class TruncatedSeries:
                 p = c1 * c2
                 if e in terms:
                     p = terms[e] + p
-                if value_is_zero(p):
+                if not p:
                     terms.pop(e, None)
                 else:
                     terms[e] = p

@@ -28,7 +28,10 @@ lowest level where a zero divisor shows, and every level above it is
 re-reduced in each component.  :func:`unit_inverse` is the one question
 every caller asks -- is this value invertible? -- and its answer is data:
 the inverse, ``None`` for zero, or a :class:`TowerSplit` for a zero
-divisor.
+divisor.  The zero test is ``bool``: a rational or a tower element is
+falsy exactly when it is zero.  :func:`tower_of` finds the tower a set of
+values lives in, and :func:`over_components` carries a payload of values
+into each split component with :func:`project_value`.
 
 ``Level.minpoly`` and ``TowerElement.rep`` keep the nested form for report
 JSON and :func:`compose_element`: a stage-0 representation is a
@@ -306,11 +309,11 @@ def _monic_divmod(num: list, den: list) -> tuple[list, list]:
     quo = [None] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = quo[i - dd] = num[i]
-        if not c.is_zero:
+        if c:
             for k in range(dd):
                 num[i - dd + k] = _sub(num[i - dd + k], _mul(c, den[k]))
     rem = num[:dd]
-    while rem and rem[-1].is_zero:
+    while rem and not rem[-1]:
         rem.pop()
     return quo, rem
 
@@ -336,7 +339,7 @@ def _inverse(tw: Tower, stage: int, x: "TowerElement") -> "TowerElement | None":
     """Inverse of ``x``, an element of the height-``stage`` prefix of
     ``tw``, or None when x is zero.  Zero divisors raise a
     :class:`TowerSplit` of ``tw`` instead of returning."""
-    if x.is_zero:
+    if not x:
         return None
     if stage == 0:
         n = x.num[0]
@@ -396,11 +399,8 @@ class TowerElement:
 
     # -- predicates ----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def __bool__(self) -> bool:
+        """False exactly for zero; never splits."""
         return any(self.num)
 
     def inverse(self) -> "TowerElement":
@@ -492,13 +492,6 @@ class TowerElement:
 # -- value-level helpers (rational or tower element) --------------------------
 
 
-def value_is_zero(v: Value) -> bool:
-    """Ring-zero test; never splits (representations are canonical)."""
-    if isinstance(v, TowerElement):
-        return v.is_zero
-    return v == 0
-
-
 def unit_inverse(v: Value) -> Value | None:
     """The inverse of a rational or tower element, or None when it is zero.
 
@@ -517,11 +510,24 @@ def invert_value(v: Value) -> Value:
     return inv
 
 
-def project_value(v: Value, tower: Tower | None) -> Value:
-    """Project a value into a component tower (identity on rationals)."""
-    if tower is None or not isinstance(v, TowerElement):
-        return v
-    return tower.project_value(v)
+def project_value(v, tower: Tower):
+    """Map a payload into a component tower: a tower element is projected,
+    a tuple or list entrywise, anything with a ``project(tower)`` method
+    projects itself, and everything else (rationals, None) is unchanged."""
+    if isinstance(v, TowerElement):
+        return tower.project_value(v)
+    if isinstance(v, tuple):
+        return tuple(project_value(x, tower) for x in v)
+    if isinstance(v, list):
+        return [project_value(x, tower) for x in v]
+    project = getattr(v, "project", None)
+    return v if project is None else project(tower)
+
+
+def tower_of(values: Iterable) -> Tower | None:
+    """The tower of the first tower element among ``values``, or None when
+    every value is rational."""
+    return next((v.tower for v in values if isinstance(v, TowerElement)), None)
 
 
 def rep_monomials(rep, stage: int):
@@ -554,13 +560,14 @@ def compose_element(target: Tower, gens: list["TowerElement"], rep, stage: int) 
     return out
 
 
-def over_components(tower: Tower, payload, project, compute, min_stage: int = 0):
+def over_components(tower: Tower, payload, compute, min_stage: int = 0):
     """Run ``compute(tower, payload)``, forking on D5 splits.
 
-    ``project(component, payload)`` maps the payload into a component tower.
-    Splits at stages <= ``min_stage`` are re-raised (the caller considers
-    those levels part of its base field).  Returns a list of
-    ``(component_tower, result)`` pairs covering the whole component tree.
+    Each component reruns ``compute`` on the payload mapped into it by
+    :func:`project_value`.  Splits at stages <= ``min_stage`` are re-raised
+    (the caller considers those levels part of its base field).  Returns a
+    list of ``(component_tower, result)`` pairs covering the whole component
+    tree.
     """
     out = []
     stack = [(tower, payload)]
@@ -572,5 +579,5 @@ def over_components(tower: Tower, payload, project, compute, min_stage: int = 0)
             if sp.stage <= min_stage:
                 raise
             for comp in sp.components:
-                stack.append((comp, project(comp, data)))
+                stack.append((comp, project_value(data, comp)))
     return out

@@ -12,22 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .tower import (
-    Tower,
-    TowerElement,
-    Value,
-    over_components,
-    project_value,
-    unit_inverse,
-    value_is_zero,
-)
+from .tower import Tower, Value, over_components, tower_of, unit_inverse
 
 UPoly = list  # list[Value], dense, trailing zeros stripped
 
 
 def ustrip(p: UPoly) -> UPoly:
     n = len(p)
-    while n and value_is_zero(p[n - 1]):
+    while n and not p[n - 1]:
         n -= 1
     return list(p[:n])
 
@@ -52,18 +44,6 @@ def uadd(p: UPoly, q: UPoly) -> UPoly:
 
 def usub(p: UPoly, q: UPoly) -> UPoly:
     return uadd(p, uneg(q))
-
-
-def umul(p: UPoly, q: UPoly) -> UPoly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if value_is_zero(a):
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return ustrip(out)
 
 
 def uderiv(p: UPoly) -> UPoly:
@@ -103,7 +83,7 @@ def udivmod(p: UPoly, d: UPoly) -> tuple[UPoly, UPoly]:
     q = [Fraction(0)] * max(0, len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
-        if value_is_zero(c):
+        if not c:
             continue
         c = c * inv
         q[i - dd] = c
@@ -172,13 +152,8 @@ def is_squarefree(p: UPoly) -> bool:
     p = ustrip(p)
     if not p:
         raise ValueError("squarefree test of the zero polynomial")
-    tower = next((c.tower for c in p if isinstance(c, TowerElement)), Tower())
-
-    def proj(comp, poly):
-        return [project_value(c, comp) for c in poly]
-
     results = over_components(
-        tower, p, proj, lambda _tw, poly: udeg(ugcd(poly, uderiv(poly))) == 0
+        tower_of(p) or Tower(), p, lambda _tw, poly: udeg(ugcd(poly, uderiv(poly))) == 0
     )
     return all(r for _tw, r in results)
 

@@ -10,7 +10,7 @@ from branchpolar.eqtype import EquisingularityType
 from branchpolar.equising import pair_intersection_values
 from branchpolar.errors import AmbiguousPairingError, NonIsolatedSingularityError, PrecisionError
 from branchpolar.poly import BivariatePolynomial, prs_resultant, resultant_y
-from branchpolar.puiseux import _base_tower, puiseux_expand
+from branchpolar.puiseux import puiseux_expand
 from branchpolar.series import TruncatedSeries, evaluate_bivariate
 from branchpolar.tower import (
     Tower,
@@ -18,10 +18,10 @@ from branchpolar.tower import (
     compose_element,
     invert_value,
     over_components,
-    project_value,
+    tower_of,
     unit_inverse,
 )
-from branchpolar.unipoly import ucyclotomic
+from branchpolar.unipoly import UPoly, ucyclotomic, ustrip
 
 
 def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
@@ -196,6 +196,17 @@ def regular_solve_full(f: BivariatePolynomial, budget: int) -> tuple[dict, int |
         y = (ycur - num * den.inverse(prec)).truncate(prec).declare_trunc(prec)
     exact = evaluate_bivariate(f, 1, y.declare_trunc(None)).is_exact_zero
     return dict(y.terms), None if exact else w
+
+
+def umul(p: UPoly, q: UPoly) -> UPoly:
+    """Product of dense univariate coefficient lists."""
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return ustrip(out)
 
 
 # -- nested-Fraction tower arithmetic ------------------------------------------
@@ -378,14 +389,6 @@ def self_pair_values_carved(
                 c = compose_element(cur, gens[: c.tower.height], c.rep, c.tower.height)
             y2.append((e, cur.lift(c)))
 
-        def proj(tw, data):
-            yy1, yy2, zz = data
-            return (
-                yy1.project(tw),
-                [(e, project_value(c, tw)) for e, c in yy2],
-                project_value(zz, tw),
-            )
-
         def compute(tw, data):
             yy1, yy2, zz = data
             total = 0
@@ -403,7 +406,7 @@ def self_pair_values_carved(
                 total += o
             return total
 
-        for tw, value in over_components(cur, (y1, y2, zeta), proj, compute, base_height):
+        for tw, value in over_components(cur, (y1, y2, zeta), compute, base_height):
             if value is None:
                 continue
             deg = prod(
@@ -416,6 +419,18 @@ def self_pair_values_carved(
 
 
 # -- types by pairwise sheet sums ---------------------------------------------
+
+
+def branch_intersection(b1: PuiseuxBranch, b2: PuiseuxBranch, base_height: int = 0) -> int:
+    """Intersection multiplicity of two distinct branches by sheet sums (a
+    single number; conjugate families whose pairs differ raise
+    AmbiguousPairingError)."""
+    values = pair_intersection_values(b1, b2, base_height)
+    if not values:
+        raise ValueError("branches coincide (no distinct pairs)")
+    if len(values) > 1:
+        raise AmbiguousPairingError(f"pairwise values differ: {sorted(values)}")
+    return next(iter(values))
 
 
 def _assemble_type(branches: list[PuiseuxBranch], base_height: int) -> EquisingularityType:
@@ -499,6 +514,6 @@ def expansion_type(f: BivariatePolynomial, mu: int) -> EquisingularityType:
     roots = min(j for (i, j) in f.terms if i == 0)
     if roots != min(i + j for (i, j) in f.terms):
         raise ValueError("a branch is tangent to x = 0")
-    base = _base_tower(f)
+    base = tower_of(f.terms.values())
     branches = puiseux_expand(f, target_order=mu + f.degree_y() + 4)
     return _assemble_type(branches, base.height if base is not None else 0)

@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import pytest
 
 from branchpolar.branch import (
-    DifferentialValues,
     PuiseuxBranch,
     differential_values,
     normal_form_equivalent,
@@ -182,9 +181,6 @@ def test_zariski_invariant_rows():
     assert zariski_invariant(d3) == 33
     d1 = differential_values(PuiseuxBranch.from_terms(5, {12: F(1)}))
     assert zariski_invariant(d1) is None
-    # lambda is read off the extra set, so a lambda without one is rejected
-    with pytest.raises(ValueError):
-        DifferentialValues(d1.gamma, frozenset(), lam=5)
 
 
 def _example2_form(a, b, scale=F(15, 2)):

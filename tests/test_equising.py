@@ -9,7 +9,6 @@ import pytest
 from branchpolar.branch import PuiseuxBranch
 from branchpolar.eqtype import EquisingularityType
 from branchpolar.equising import (
-    branch_intersection,
     equisingularity_type,
     generic_polar_type,
     intersection_multiplicity,
@@ -24,7 +23,7 @@ from branchpolar.poly import BivariatePolynomial as BP
 from branchpolar.puiseux import puiseux_expand
 from branchpolar.semigroup import semigroup_from_generators
 from branchpolar.tower import Tower
-from oracles import self_pair_values_carved
+from oracles import branch_intersection, self_pair_values_carved
 
 
 def test_intersection_with_curve():
@@ -139,7 +138,7 @@ def test_generic_polar_type_smooth_branch_is_empty():
     # f = y - x^2 - x^3: every polar a f_x + b f_y with b != 0 misses the origin
     rep = generic_polar_type(PuiseuxBranch.from_terms(1, {2: F(1), 3: F(1)}), samples=2)
     assert rep.polar_type == EquisingularityType.of([], [])
-    assert rep.polar_type.branch_count == 0 and rep.polar_type.milnor_number() == 0
+    assert len(rep.polar_type.branches) == 0 and rep.polar_type.milnor_number() == 0
     assert rep.milnor == 0 and rep.certified and rep.teissier_ok
 
 

@@ -128,6 +128,16 @@ def test_rejects_y_degree_zero_in_both():
         resultant_y(BP({(2, 0): F(1)}), BP({(5, 0): F(3)}))
 
 
+def test_prs_resultant_rejects_zero_input():
+    # zero rows of either coefficient ring, in either position
+    line = [ZX([0, 1]), ZX([1])]
+    for f, g in (([], line), (line, [ZX()]), ([BP()], [BP.one(), BP.one()])):
+        with pytest.raises(ValueError):
+            poly.prs_resultant(f, g)
+        with pytest.raises(ValueError):
+            poly.prs_resultant(g, f)
+
+
 def test_resultant_detects_common_factor():
     # Res_y vanishes exactly when f and g share a factor of positive
     # y-degree, over Q and over a tower alike

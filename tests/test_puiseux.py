@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
-from branchpolar.equising import branch_intersection, equisingularity_type
+from branchpolar.equising import equisingularity_type
 from branchpolar.errors import NotReducedError, PrecisionError
 from branchpolar.families import gamma_5_12
 from branchpolar.implicit import implicitize, polar
@@ -17,7 +17,7 @@ from branchpolar.puiseux import _regular_solve, puiseux_expand
 from branchpolar.series import evaluate_bivariate
 from branchpolar.tower import Tower
 
-from oracles import regular_solve_full
+from oracles import branch_intersection, regular_solve_full
 
 SQRT6 = Tower().adjoin("s", (F(-6), F(0), F(1)))
 

@@ -5,18 +5,26 @@ from math import gcd
 
 import pytest
 
-from branchpolar.tower import Tower, TowerElement, TowerSplit, over_components, unit_inverse
+from branchpolar.series import TruncatedSeries
+from branchpolar.tower import (
+    Tower,
+    TowerElement,
+    TowerSplit,
+    over_components,
+    project_value,
+    tower_of,
+    unit_inverse,
+)
 from branchpolar.unipoly import (
     is_squarefree,
     ucyclotomic,
     udeg,
     uexact_div,
     ugcd,
-    umul,
     uyun,
 )
 
-from oracles import nested_add, nested_mul, nested_one, nested_pow, nested_sub
+from oracles import nested_add, nested_mul, nested_one, nested_pow, nested_sub, umul
 
 SQRT2 = Tower().adjoin("a", (F(-2), F(0), F(1)))
 
@@ -39,7 +47,7 @@ def test_associativity_and_inverse_random(rng):
                 assert (x + y) + z == x + (y + z)
                 assert (x * y) * z == x * (y * z)
     for x in vals:
-        if x.is_zero:
+        if not x:
             continue
         inv = unit_inverse(x)
         assert x * inv == 1
@@ -78,19 +86,64 @@ def test_split_at_lower_level_projects_upper():
 
 
 def test_over_components_covers_tree():
-    t = Tower().adjoin("e", (F(0), F(0), F(-1), F(1)))  # z^3 - z^2 = z^2(z-1): not squarefree!
-    # use a squarefree split-rich polynomial instead: z(z-1)(z+1) = z^3 - z
-    t = Tower().adjoin("e", (F(0), F(-1), F(0), F(1)))
+    t = Tower().adjoin("e", (F(0), F(-1), F(0), F(1)))  # z^3 - z = z(z-1)(z+1)
     e = t.generator(1)
 
     def compute(tw, elem):
-        return unit_inverse(tw.project_value(elem)) is None
+        return unit_inverse(elem) is None
 
-    results = over_components(t, e, lambda tw, v: v, compute)
+    results = over_components(t, e, compute)
     zeros = sorted(z for _tw, z in results)
     assert zeros == [False, True] or zeros == [False, False, True]
     total = sum(tw.dim for tw, _ in results)
     assert total == 3
+
+
+def test_over_components_projects_nested_payload():
+    t = Tower().adjoin("e", (F(0), F(-1), F(0), F(1)))  # z^3 - z = z(z-1)(z+1)
+    e = t.generator(1)
+    payload = (
+        ((1, e), (2, e * e)),
+        [e + 1, F(1, 2)],
+        TruncatedSeries({0: e, 3: F(2)}, 5),
+        None,
+    )
+
+    def compute(tw, data):
+        pairs, values, series, nothing = data
+        (one, x), (two, x2) = pairs
+        assert (one, two) == (1, 2) and nothing is None
+        assert isinstance(values, list) and values[1] == F(1, 2)
+        assert series.trunc == 5 and series.terms[3] == 2
+        for v in (x, x2, values[0], series.terms.get(0, x)):
+            assert v.tower is tw
+        assert x2 == x * x and values[0] == x + 1 and series.terms.get(0, tw.zero()) == x
+        for r in (-1, 0, 1):  # splits the tower until x is one of its roots
+            unit_inverse(x - r)
+        return next(r for r in (-1, 0, 1) if not x - r)
+
+    results = over_components(t, payload, compute)
+    assert sorted(r for _tw, r in results) == [-1, 0, 1]
+    comp = results[0][0]
+    assert project_value(payload, comp) is not payload
+    assert project_value(None, comp) is None and project_value(F(1, 2), comp) == F(1, 2)
+
+
+def test_zero_test_is_bool_and_never_splits():
+    t = Tower().adjoin("e", (F(0), F(-1), F(0), F(1)))  # z^3 - z
+    e = t.generator(1)
+    for zero_divisor in (e, e * e - e, e + 1):
+        assert zero_divisor
+    assert not t.zero() and not (e * e * e - e)
+    assert not F(0) and F(1, 3)
+
+
+def test_tower_of_mixed_values():
+    t = Tower().adjoin("e", (F(0), F(-1), F(0), F(1)))
+    a = SQRT2.generator(1)
+    assert tower_of([F(1), 2, a, t.generator(1)]) is SQRT2
+    assert tower_of(iter([F(0), t.one()])) is t
+    assert tower_of([F(1), 3]) is None and tower_of([]) is None
 
 
 def test_unit_inverse_reports_zero_and_splits():
@@ -216,7 +269,7 @@ def test_flat_arithmetic_matches_nested_oracle(rng, name):
                 assert (x ** n).rep == nested_pow(tw, h, x.rep, n)
             q = F(rng.randint(-9, 9), rng.randint(1, 9))
             assert (x * q).rep == nested_mul(tw, h, x.rep, tw.from_rational(q).rep)
-            if not x.is_zero:
+            if x:
                 assert nested_mul(tw, h, x.rep, x.inverse().rep) == nested_one(h)
 
 
@@ -228,7 +281,7 @@ def test_flat_elements_are_canonical(rng, name):
         for x in elems:
             assert x.den > 0 and gcd(x.den, *x.num) == 1
             assert len(x.num) == tw.dim
-            assert x.is_zero == (x.rep == ()) == (x.num == (0,) * tw.dim and x.den == 1)
+            assert (not x) == (x.rep == ()) == (x.num == (0,) * tw.dim and x.den == 1)
             back = tw.from_rep(x.rep)
             assert (back.num, back.den) == (x.num, x.den)
         assert (tw.zero().num, tw.zero().den) == ((0,) * tw.dim, 1)
