@@ -39,7 +39,6 @@ from .equising import (
 )
 from .errors import (
     AmbiguousPairingError,
-    AxisFactorError,
     BranchPolarError,
     DSLError,
     GenericityError,
@@ -62,7 +61,6 @@ from .unipoly import is_squarefree
 __all__ = [
     "AmbiguousPairingError",
     "AnalysisReport",
-    "AxisFactorError",
     "BivariatePolynomial",
     "BranchFamily",
     "BranchPolarError",

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
+from fractions import Fraction
 from pathlib import Path
 
 from .dsl import BranchSpec, format_branch, parse_branch
@@ -58,8 +60,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _parse_params(items: list[str]) -> dict:
-    from fractions import Fraction
-
     out = {}
     for item in items:
         for piece in item.split(","):
@@ -76,8 +76,6 @@ def _parse_params(items: list[str]) -> dict:
 
 
 def _cmd_family(args) -> int:
-    import random
-
     try:
         fam = family(args.name)
         given = _parse_params(args.params or [])

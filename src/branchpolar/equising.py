@@ -317,16 +317,30 @@ def generic_polar_type(
     samples: int = 3,
     rng: random.Random | None = None,
 ) -> PolarReport:
-    """Equisingularity type of the general polar, certified by agreement over
+    """Equisingularity type of the general polar of ``b``: its implicit
+    equation f and mu(f) by resultant, handed to :func:`sample_polars`."""
+    f = implicitize(b)
+    return sample_polars(b, f, milnor_number(f), samples, rng)
+
+
+def sample_polars(
+    b: PuiseuxBranch,
+    f: BivariatePolynomial,
+    mu: int,
+    samples: int = 3,
+    rng: random.Random | None = None,
+) -> PolarReport:
+    """Type of the general polar of ``b``, certified by agreement over
     sampled directions; disagreement returns the majority type (the first
     one seen among equal counts) flagged uncertified with the dissenting
-    directions listed."""
+    directions listed.  Trusts that ``f`` is the implicit equation of ``b``
+    and ``mu`` = mu(f) by resultant; still checks ``mu`` against the
+    conductor (Milnor's formula), and each polar's type against its own
+    resultant and the Teissier identity (``teissier_ok``)."""
     if samples < 2:
         raise ValueError("genericity certification needs samples >= 2")
     if rng is None:
         rng = random.Random(1729)
-    f = implicitize(b)
-    mu = milnor_number(f)
     conductor = semigroup_of_branch(b).conductor
     if mu != conductor:  # Milnor's formula for a branch: mu = 2 delta = c
         raise AssertionError(f"Milnor number {mu} by resultant, conductor {conductor}")

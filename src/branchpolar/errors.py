@@ -23,10 +23,6 @@ class NonIsolatedSingularityError(BranchPolarError):
     """f_x and f_y share a component, so the Milnor number is infinite."""
 
 
-class AxisFactorError(BranchPolarError):
-    """x or y divides the polynomial where an axis-free germ is required."""
-
-
 class NormalFormMismatchError(BranchPolarError):
     """Normal forms are trivially inequivalent (different discrete data).
 

@@ -324,6 +324,8 @@ def mult4_g2() -> BranchFamily:
 
 def family(name: str) -> BranchFamily:
     """Look up a family by its CLI-style name (e.g. 'gamma-5-12/10')."""
+    if name not in FAMILY_NAMES:
+        raise FamilyError(f"unknown family {name!r}")
     if name.startswith("gamma-5-12/"):
         return gamma_5_12(int(name.split("/", 1)[1]))
     if name == "mult3":
@@ -332,9 +334,7 @@ def family(name: str) -> BranchFamily:
         return mult3(monomial=True)
     if name.startswith("mult4-g1/"):
         return mult4_g1(int(name.split("/", 1)[1]))
-    if name == "mult4-g2":
-        return mult4_g2()
-    raise FamilyError(f"unknown family {name!r}")
+    return mult4_g2()
 
 
 FAMILY_NAMES = tuple(

@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import gcd
 
 from .branch import characteristic_semigroup
-from .errors import AxisFactorError
 from .eqtype import EquisingularityType
 from .poly import BivariatePolynomial
 from .tower import Value
@@ -122,14 +121,11 @@ def _cross(o, a, b) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def is_newton_nondegenerate(f: BivariatePolynomial) -> bool:
-    """True iff every side polynomial is squarefree.
+def is_newton_nondegenerate(np: NewtonPolygon) -> bool:
+    """True iff every side polynomial of the polygon is squarefree.
 
-    Requires an axis-free germ: callers strip x- and y-factors first and
-    handle them separately (they are smooth branches)."""
-    if f.x_power_divisor() > 0 or f.y_power_divisor() > 0:
-        raise AxisFactorError("axis factor present; strip x^p y^q first")
-    np = newton_polygon(f)
+    Reads the compact sides only: the axis factors recorded in
+    ``np.x_mult``/``np.y_mult`` are the caller's to judge."""
     return all(is_squarefree(list(s.side_polynomial)) for s in np.sides)
 
 

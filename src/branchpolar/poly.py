@@ -21,7 +21,7 @@ coefficient rings:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Mapping
 
 from .tower import Value, invert_value, unit_inverse
@@ -194,8 +194,6 @@ class BivariatePolynomial:
 
     def shift_x(self, sigma: Value) -> "BivariatePolynomial":
         """Substitute x -> x + sigma*y."""
-        from math import comb
-
         terms: dict = {}
         for (i, j), c in self.terms.items():
             for k in range(i + 1):

@@ -10,6 +10,7 @@ unless explicitly requested, precisely to keep that guarantee.
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .branch import PuiseuxBranch, differential_values, semigroup_of_branch, zariski_invariant
 from .dsl import BranchSpec, format_branch
 from .eqtype import EquisingularityType
-from .equising import SweepReport, generic_polar_type
+from .equising import SweepReport, sample_polars
 from .errors import BranchPolarError
 from .implicit import implicitize, milnor_number, polar
 from .newton import NewtonPolygon, is_newton_nondegenerate, newton_polygon
@@ -117,8 +118,6 @@ def analyze(
     with its genericity certificate.  A failure at any stage, a failed
     internal cross-check included, ends the report with an ``error`` entry
     naming the stage and the exception kind."""
-    import random
-
     t0 = time.monotonic()
     b = spec.branch
     payload: dict = {
@@ -144,19 +143,14 @@ def analyze(
         stage = "implicitize"
         f = implicitize(b)
         stage = "milnor"
-        payload["milnor"] = milnor_number(f)
+        mu = payload["milnor"] = milnor_number(f)
         stage = "polar"
-        rng = random.Random(seed)
-        rep = generic_polar_type(b, samples=directions, rng=rng)
-        a0, b0 = rep.directions[0]
-        p0 = polar(f, a0, b0)
-        np0 = newton_polygon(p0)
-        xs, core = p0.strip_x_power()
-        _, core = core.strip_y_power()
+        rep = sample_polars(b, f, mu, samples=directions, rng=random.Random(seed))
+        np0 = newton_polygon(polar(f, *rep.directions[0]))
         payload["polar"] = {
             "directions": [[str(a), str(bb)] for a, bb in rep.directions],
             "newton_polygon": encode_polygon(np0),
-            "newton_nondegenerate": is_newton_nondegenerate(core) if xs == 0 else False,
+            "newton_nondegenerate": np0.x_mult == 0 and is_newton_nondegenerate(np0),
             "type": encode_type(rep.polar_type),
             "genericity": {
                 "certified": rep.certified,

@@ -291,7 +291,7 @@ def test_criterion_8_property_suite():
         BP({(0, 2): F(3), (10, 0): F(-11)}),
     ]
     for f in nd_fixtures:
-        assert is_newton_nondegenerate(f)
+        assert is_newton_nondegenerate(newton_polygon(f))
         t1 = nondegenerate_type(newton_polygon(f))
         t2 = _assemble_type(puiseux_expand(f), 0)
         assert t1 == t2

@@ -70,11 +70,36 @@ def test_analyze_internal_failure_exits_1(monkeypatch, capsys, exc_type):
     def fail(*args, **kwargs):
         raise exc_type("injected")
 
-    monkeypatch.setattr(report, "generic_polar_type", fail)
+    monkeypatch.setattr(report, "sample_polars", fail)
     code, out = run_cli(capsys, "analyze", "x=t^5; y=t^12")
     assert code == 1
     err = json.loads(out)["error"]
     assert err == {"stage": "polar", "kind": exc_type.__name__, "message": "injected"}
+
+
+@pytest.mark.parametrize("patched, stage", [("implicitize", "implicitize"), ("milnor_number", "milnor")])
+def test_analyze_error_names_its_stage(monkeypatch, capsys, patched, stage):
+    import branchpolar.report as report
+
+    def fail(*args, **kwargs):
+        raise ArithmeticError("injected")
+
+    monkeypatch.setattr(report, patched, fail)
+    code, out = run_cli(capsys, "analyze", "x=t^5; y=t^12")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err == {"stage": stage, "kind": "ArithmeticError", "message": "injected"}
+
+
+def test_analyze_milnor_conductor_mismatch_is_a_polar_failure(monkeypatch, capsys):
+    # <5,12> has conductor 44; a resultant that says 45 fails Milnor's formula
+    import branchpolar.report as report
+
+    monkeypatch.setattr(report, "milnor_number", lambda f: 45)
+    code, out = run_cli(capsys, "analyze", "x=t^5; y=t^12")
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert (err["stage"], err["kind"]) == ("polar", "AssertionError")
 
 
 def test_analyze_tower_branch_reports_input_stage():
@@ -156,6 +181,13 @@ def test_family_rejects_bad_params(capsys):
 def test_family_unknown(capsys):
     code, _ = run_cli(capsys, "family", "no-such-family")
     assert code == 2
+
+
+@pytest.mark.parametrize("name", ["gamma-5-12/x", "mult4-g1/1.5", "gamma-5-12/19", "mult4-g1/ 2"])
+def test_sweep_malformed_family_name_exits_2(capsys, name):
+    code, out = run_cli(capsys, "sweep", name, "--trials", "1")
+    assert code == 2
+    assert json.loads(out)["error"] == {"stage": "sweep", "message": f"unknown family {name!r}"}
 
 
 def test_sweep_stratum_11(capsys):

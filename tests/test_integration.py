@@ -2,6 +2,7 @@
 the data they were built from, and composite/axis germs stay consistent."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -97,6 +98,38 @@ def test_analyze_timing_flag():
     without = analyze(spec, directions=2)
     assert isinstance(with_timing.payload["timing_seconds"], float)
     assert without.payload["timing_seconds"] is None
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_analyze_is_one_pass(monkeypatch, k):
+    # f and mu(f) once for the branch, mu once more per sampled polar
+    import branchpolar.equising as equising
+    import branchpolar.report as report
+    from branchpolar.dsl import parse_branch
+
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (report, equising):
+        for name in ("implicitize", "milnor_number", "polar"):
+            count(module, name)
+    spec = parse_branch("x=t^5; y=t^12+t^21")
+    payload = report.analyze(spec, directions=k, seed=9).payload
+    assert "error" not in payload
+    assert calls["polar"] == k + 1  # no direction resampled; one for the polygon
+    assert calls["implicitize"] == 1
+    assert calls["milnor_number"] == k + 1
+    rep = equising.generic_polar_type(spec.branch, k, random.Random(9))
+    assert payload["polar"]["directions"] == [[str(a), str(b)] for a, b in rep.directions]
+    assert payload["polar"]["type"] == report.encode_type(rep.polar_type)
 
 
 def test_tower_element_json_encoding():
