@@ -2,9 +2,10 @@
 
 All output is UTF-8 JSON on stdout (or --json FILE).  Exit codes: 0 on
 success, 1 on an internal or verification failure, 2 on usage or parse
-errors.  Sweeps are replayable: the seeded PRNG (Mersenne Twister via
-``random.Random``) and the per-trial seed derivation are recorded in the
-report, and the worker count never changes the result.
+errors and on a --json FILE that cannot be written.  Sweeps are
+replayable: the seeded PRNG (Mersenne Twister via ``random.Random``) and
+the per-trial seed derivation are recorded in the report, and the worker
+count never changes the result.
 """
 
 from __future__ import annotations
@@ -28,35 +29,47 @@ USAGE_EXIT = 2
 INTERNAL_EXIT = 1
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | None, code: int = 0) -> int:
+    """Write ``payload`` as JSON to the file ``out``, or to stdout when it is
+    None, and return the exit ``code``.  A file that cannot be written puts
+    an ``output``-stage error on stdout instead and returns the usage exit."""
     text = json.dumps(payload, indent=2) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _error("output", str(exc), None, USAGE_EXIT)
+        return code
+    sys.stdout.write(text)
+    return code
+
+
+def _error(stage: str, message: str, out: str | None, code: int) -> int:
+    return _emit({"error": {"stage": stage, "message": message}}, out, code)
 
 
 def _load_spec(arg: str) -> BranchSpec:
+    """Parse the file at path ``arg`` when there is one, else ``arg`` itself."""
     p = Path(arg)
-    if p.exists() and p.is_file():
-        return parse_branch(p.read_text(encoding="utf-8").strip())
-    return parse_branch(arg)
+    try:
+        is_file = p.is_file()
+    except OSError:  # not a usable path, e.g. DSL text longer than a file name
+        is_file = False
+    return parse_branch(p.read_text(encoding="utf-8").strip() if is_file else arg)
 
 
 def _cmd_analyze(args) -> int:
     try:
         spec = _load_spec(args.spec)
-    except DSLError as exc:
-        _emit({"error": {"stage": "parse", "message": str(exc)}}, args.json)
-        return USAGE_EXIT
+    except (DSLError, OSError, UnicodeDecodeError) as exc:
+        return _error("parse", str(exc), args.json, USAGE_EXIT)
     report = analyze(
         spec,
         directions=args.directions,
         seed=args.seed,
         timing=args.timing,
     )
-    _emit(report.payload, args.json)
-    return INTERNAL_EXIT if "error" in report.payload else 0
+    return _emit(report.payload, args.json, INTERNAL_EXIT if "error" in report.payload else 0)
 
 
 def _parse_params(items: list[str]) -> dict:
@@ -93,21 +106,17 @@ def _cmd_family(args) -> int:
                 }
             )
     except (FamilyError, ValueError) as exc:
-        _emit({"error": {"stage": "family", "message": str(exc)}}, args.json)
-        return USAGE_EXIT
-    _emit({"family": args.name, "instances": specs}, args.json)
-    return 0
+        return _error("family", str(exc), args.json, USAGE_EXIT)
+    return _emit({"family": args.name, "instances": specs}, args.json)
 
 
 def _cmd_sweep(args) -> int:
     if args.trials < 1:
-        _emit({"error": {"stage": "sweep", "message": "trials must be >= 1"}}, args.json)
-        return USAGE_EXIT
+        return _error("sweep", "trials must be >= 1", args.json, USAGE_EXIT)
     try:
         fam = family(args.name)
     except FamilyError as exc:
-        _emit({"error": {"stage": "sweep", "message": str(exc)}}, args.json)
-        return USAGE_EXIT
+        return _error("sweep", str(exc), args.json, USAGE_EXIT)
     try:
         with ProcessPoolExecutor(args.workers) if args.workers > 1 else nullcontext() as pool:
             report = stratum_sweep(
@@ -119,15 +128,12 @@ def _cmd_sweep(args) -> int:
                 mapper=pool.map if pool else map,
             )
     except AssertionError as exc:  # an internal cross-check failed
-        _emit({"error": {"stage": "verify", "message": str(exc)}}, args.json)
-        return INTERNAL_EXIT
+        return _error("verify", str(exc), args.json, INTERNAL_EXIT)
     except (BranchPolarError, ValueError, ArithmeticError) as exc:
-        _emit({"error": {"stage": "sweep", "message": str(exc)}}, args.json)
-        return INTERNAL_EXIT
+        return _error("sweep", str(exc), args.json, INTERNAL_EXIT)
     if report.teissier_failures:
         message = f"{report.teissier_failures} of {report.trials} trials fail the Teissier identity"
-        _emit({"error": {"stage": "verify", "message": message}}, args.json)
-        return INTERNAL_EXIT
+        return _error("verify", message, args.json, INTERNAL_EXIT)
     payload = {
         "family": fam.name,
         "seed": args.seed,
@@ -136,8 +142,7 @@ def _cmd_sweep(args) -> int:
         "walls_injected": not args.no_walls and bool(fam.walls),
         "report": encode_sweep(report),
     }
-    _emit(payload, args.json)
-    return 0
+    return _emit(payload, args.json)
 
 
 def _directions(text: str) -> int:
@@ -185,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     li = sub.add_parser("families", help="list known family names")
     li.add_argument("--json", default=None)
-    li.set_defaults(fn=lambda args: (_emit({"families": list(FAMILY_NAMES)}, args.json), 0)[1])
+    li.set_defaults(fn=lambda args: _emit({"families": list(FAMILY_NAMES)}, args.json))
     return ap
 
 
@@ -195,14 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
-    except (DSLError, FamilyError) as exc:
-        _emit({"error": {"message": str(exc)}}, getattr(args, "json", None))
-        return USAGE_EXIT
-    except BranchPolarError as exc:
-        _emit({"error": {"message": str(exc)}}, getattr(args, "json", None))
-        return INTERNAL_EXIT
+    return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -112,7 +112,7 @@ def parse_branch(text: str) -> BranchSpec:
     sc.next("name", "y")
     sc.next("op", "=")
 
-    raw_terms: list[tuple[int, object, int]] = []  # (exp, coeff-or-name, pos)
+    raw_terms: list[tuple[int, object, int]] = []  # (exp, coeff or (sign, name), pos)
     sign = 1
     while True:
         while sc.accept("op", "-"):
@@ -124,7 +124,7 @@ def parse_branch(text: str) -> BranchSpec:
             sc.accept("op", "*")
         elif k == "name" and v != "t":
             _, pname, _ = sc.next("name")
-            coeff = ("neg" if sign == -1 else "pos", pname)
+            coeff = (sign, pname)
             sc.accept("op", "*")
         sc.next("name", "t")
         if sc.accept("op", "^"):
@@ -162,12 +162,10 @@ def parse_branch(text: str) -> BranchSpec:
             raise DSLError("exponents must be strictly increasing", pos)
         last = exp
         if isinstance(coeff, tuple):
-            way, pname = coeff
+            sign, pname = coeff
             if pname not in bindings:
                 raise DSLError(f"parameter {pname!r} has no where-binding", pos)
-            value = bindings[pname]
-            if way == "neg":
-                value = -value
+            value = sign * bindings[pname]
         else:
             value = coeff
         if exp < n:

@@ -324,20 +324,20 @@ def mult4_g2() -> BranchFamily:
 
 def family(name: str) -> BranchFamily:
     """Look up a family by its CLI-style name (e.g. 'gamma-5-12/10')."""
-    if name not in FAMILY_NAMES:
-        raise FamilyError(f"unknown family {name!r}")
-    if name.startswith("gamma-5-12/"):
-        return gamma_5_12(int(name.split("/", 1)[1]))
-    if name == "mult3":
-        return mult3()
-    if name == "mult3-monomial":
-        return mult3(monomial=True)
-    if name.startswith("mult4-g1/"):
-        return mult4_g1(int(name.split("/", 1)[1]))
-    return mult4_g2()
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise FamilyError(f"unknown family {name!r}") from None
 
 
-FAMILY_NAMES = tuple(
-    [f"gamma-5-12/{r}" for r in range(1, 19)]
-    + ["mult3", "mult3-monomial", "mult4-g1/1", "mult4-g1/2", "mult4-g1/3", "mult4-g2"]
-)
+_FAMILIES = {
+    fam.name: fam
+    for fam in (
+        *(gamma_5_12(row) for row in range(1, 19)),
+        mult3(),
+        mult3(monomial=True),
+        *(mult4_g1(form) for form in (1, 2, 3)),
+        mult4_g2(),
+    )
+}
+FAMILY_NAMES = tuple(_FAMILIES)

@@ -75,7 +75,7 @@ def _check_weierstrass(f: BivariatePolynomial, b: PuiseuxBranch) -> None:
         # normal-form situation: the y^(n-j) coefficient has x-order > j
         for j in range(1, n + 1):
             cj = f.coefficient_of_y(n - j)
-            if not cj.is_zero and cj.x_power_divisor() <= j:
+            if cj and cj.x_power_divisor() <= j:
                 raise AssertionError("Weierstrass order condition ord_x a_j > j violated")
     res = evaluate_bivariate(f, b.n, b.y_series(None))
     if not res.is_exact_zero:
@@ -145,9 +145,9 @@ def milnor_number(f: BivariatePolynomial) -> int:
             "no shear x -> x + sigma y makes f y-general with the origin its "
             "only critical point on x = 0"
         )
-    if gx.is_zero:  # g = g(y) with g'(0) = 0: the line y = 0 is critical
+    if not gx:  # g = g(y) with g'(0) = 0: the line y = 0 is critical
         raise NonIsolatedSingularityError("f_x vanishes identically")
     res = resultant_y(gx, gy)
-    if res.is_zero:
+    if not res:
         raise NonIsolatedSingularityError("Res_y(f_x, f_y) vanishes identically")
     return res.x_order()

@@ -82,7 +82,7 @@ def newton_polygon(f: BivariatePolynomial) -> NewtonPolygon:
     Axis factors are stripped first and recorded on the result; each side
     carries its side polynomial p_L(z) = z^(-j_end) f_L(1, z).
     """
-    if f.is_zero:
+    if not f:
         raise ValueError("Newton polygon of the zero polynomial")
     p, f1 = f.strip_x_power()
     q, f1 = f1.strip_y_power()

@@ -2,12 +2,15 @@
 
 A :class:`BivariatePolynomial` is a sparse support-indexed polynomial in
 ``x, y`` whose coefficients are rationals or tower elements; no stored
-coefficient is ring-zero.  A univariate polynomial in the main variable
-``y`` is a dense list of coefficients in x, and the resultant is computed by
-the subresultant PRS of Brown, which keeps intermediate coefficients at
-subresultant size instead of letting pseudo-remainders blow up.  The PRS
-needs an integral domain with exact division, and runs over one of two
-coefficient rings:
+coefficient is ring-zero, and like every value in the package it is falsy
+exactly when it is zero.  A univariate polynomial in the main variable
+``y`` is a dense :mod:`~branchpolar.unipoly` list of coefficients in x, and
+the resultant is computed by the subresultant PRS of Brown, which keeps
+intermediate coefficients at subresultant size instead of letting
+pseudo-remainders blow up.  The PRS needs an integral domain with exact
+division: of its coefficient ring it asks only ``bool`` (the zero test),
+``*``, ``-``, ``**``, ``exact_div`` and ``zero()``.  It runs over one of
+two such rings:
 
 * :class:`ZX`, dense integer polynomials in x.  ``resultant_y`` picks it
   when every coefficient of both inputs is a ``Fraction``: each input is
@@ -25,6 +28,7 @@ from math import comb, gcd, lcm
 from typing import Mapping
 
 from .tower import Value, invert_value, unit_inverse
+from .unipoly import udeg, uneg, ustrip
 
 
 class BivariatePolynomial:
@@ -68,9 +72,8 @@ class BivariatePolynomial:
 
     # -- structure -------------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def support(self) -> list[tuple[int, int]]:
         return sorted(self.terms)
@@ -101,7 +104,7 @@ class BivariatePolynomial:
     def x_order(self) -> int:
         """Order in x of an x-only polynomial; leading term must be a unit in
         every component, so zero-divisor coefficients split the tower."""
-        if self.is_zero:
+        if not self:
             raise ValueError("x_order of the zero polynomial")
         for i in sorted(i for i, _ in self.terms):
             if unit_inverse(self.terms[(i, 0)]) is not None:
@@ -176,7 +179,7 @@ class BivariatePolynomial:
     def __eq__(self, other):
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return (self - other).is_zero
+        return not (self - other)
 
     __hash__ = None
 
@@ -228,9 +231,9 @@ class BivariatePolynomial:
         remainder precisely for exact divisions over a coefficient field (or
         a D5 product of fields, splitting on zero-divisor leading values).
         """
-        if d.is_zero:
+        if not d:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
+        if not self:
             return BivariatePolynomial()
         dlt = max(d.terms)
         dinv = invert_value(d.terms[dlt])
@@ -253,7 +256,7 @@ class BivariatePolynomial:
         return BivariatePolynomial(out)
 
     def __repr__(self):
-        if self.is_zero:
+        if not self:
             return "BivariatePolynomial(0)"
         bits = []
         for (i, j) in sorted(self.terms, key=lambda k: (k[1], k[0])):
@@ -289,10 +292,6 @@ class ZX(list):
     @staticmethod
     def one() -> "ZX":
         return ZX((1,))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self
 
     def __neg__(self) -> "ZX":
         return ZX([-a for a in self])
@@ -363,51 +362,31 @@ def _zx_y_coefficients(f: BivariatePolynomial) -> tuple[list[ZX], Fraction]:
 
 # -- polynomial remainder sequences over a coefficient ring ----------------------
 
-MainPoly = list  # dense list of ring elements (BivariatePolynomial or ZX) in a main variable
 
-
-def _mstrip(f: MainPoly) -> MainPoly:
-    n = len(f)
-    while n and f[n - 1].is_zero:
-        n -= 1
-    return list(f[:n])
-
-
-def _mdeg(f: MainPoly) -> int:
-    return len(f) - 1
-
-
-def _mscale(f: MainPoly, c: BivariatePolynomial) -> MainPoly:
-    return _mstrip([fi * c for fi in f])
-
-
-def _mquo_ground(f: MainPoly, c: BivariatePolynomial) -> MainPoly:
-    return [fi.exact_div(c) if not fi.is_zero else fi for fi in f]
-
-
-def _prem(f: MainPoly, g: MainPoly) -> MainPoly:
+def _prem(f: list, g: list) -> list:
     """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f mod g."""
-    df, dg = _mdeg(f), _mdeg(g)
+    df, dg = udeg(f), udeg(g)
     if dg < 0:
         raise ZeroDivisionError("pseudo-division by zero")
-    r = _mstrip(f)
+    r = ustrip(f)
     lc_g = g[-1]
     n = df - dg + 1
-    while _mdeg(r) >= dg:
-        dr = _mdeg(r)
+    while udeg(r) >= dg:
+        dr = udeg(r)
         lead = r[-1]
         # r <- lc(g)*r - lead*T^(dr-dg)*g; the leading terms cancel exactly
         r = [ri * lc_g for ri in r[:-1]]
         for k in range(dg):
             r[dr - dg + k] = r[dr - dg + k] - g[k] * lead
-        r = _mstrip(r)
+        r = ustrip(r)
         n -= 1
     if n > 0 and r:
-        r = _mscale(r, lc_g ** n)
+        scale = lc_g ** n
+        r = ustrip([ri * scale for ri in r])
     return r
 
 
-def prs_resultant(f: MainPoly, g: MainPoly):
+def prs_resultant(f: list, g: list):
     """Resultant of two main-variable polynomials, an element of their
     coefficient ring, with the Sylvester sign convention.
 
@@ -418,10 +397,10 @@ def prs_resultant(f: MainPoly, g: MainPoly):
     degree first, which costs a factor (-1)^(deg f * deg g) when the
     arguments are swapped.
     """
-    f, g = _mstrip(f), _mstrip(g)
+    f, g = ustrip(f), ustrip(g)
     if not f or not g:
         raise ValueError("resultant of the zero polynomial")
-    n, m = _mdeg(f), _mdeg(g)
+    n, m = udeg(f), udeg(g)
     if n == 0 and m == 0:
         raise ValueError("resultant of two constants is not defined here")
     if n == 0:
@@ -434,20 +413,20 @@ def prs_resultant(f: MainPoly, g: MainPoly):
     d = n - m
     h = _prem(f, g)
     if d % 2 == 0:
-        h = [-hi for hi in h]
+        h = uneg(h)
     lc = g[-1]
     c = -(lc ** d)  # minus the last scalar subresultant
     while h:
-        k = _mdeg(h)
+        k = udeg(h)
         f, g, m, d = g, h, k, m - k
         b = -(lc * (c ** d))
-        h = _mquo_ground(_prem(f, g), b)
+        h = [hi.exact_div(b) if hi else hi for hi in _prem(f, g)]
         lc = g[-1]
         if d > 1:
             c = ((-lc) ** d).exact_div(c ** (d - 1))
         else:
             c = -lc
-    if _mdeg(g) > 0:
+    if udeg(g) > 0:
         return g[-1].zero()
     return c if negate else -c
 
@@ -463,7 +442,7 @@ def resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePoly
     dyf, dyg = f.degree_y(), g.degree_y()
     if dyf <= 0 and dyg <= 0:
         raise ValueError("resultant_y needs positive y-degree in an argument")
-    if f.is_zero or g.is_zero:
+    if not f or not g:
         raise ValueError("resultant_y of the zero polynomial")
     if all(isinstance(c, Fraction) for p in (f, g) for c in p.terms.values()):
         # Res(sF, tG) = s^deg_y(G) * t^deg_y(F) * Res(F, G)

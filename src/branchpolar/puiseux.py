@@ -172,13 +172,13 @@ def puiseux_expand(f: BivariatePolynomial, target_order: int | None = None) -> l
     for x-axis factors (those cannot be written as x = t^n) and for germs
     not vanishing at the origin.
     """
-    if f.is_zero:
+    if not f:
         raise ValueError("cannot expand the zero polynomial")
     if f.x_power_divisor() > 0:
         raise ValueError("x divides f: the vertical axis branch has no x = t^n form")
     if (0, 0) in f.terms:
         raise ValueError("f(0,0) != 0: no germ at the origin")
-    if resultant_y(f, f.derivative_y()).is_zero:
+    if not resultant_y(f, f.derivative_y()):
         raise NotReducedError("f and f_y share a y-factor")
     base = tower_of(f.terms.values())
     base_height = base.height if base is not None else 0
@@ -229,7 +229,7 @@ def _expand_germ(f, tower, budget, depth, max_depth, known):
             raise PrecisionError("y^2 divides the truncated germ")
         raise NotReducedError("y^2 divides the germ")
     sides = ()
-    if not (f.is_zero or (0, 0) in f.terms):
+    if f and (0, 0) not in f.terms:
         if f.x_power_divisor() > 0:
             raise NotReducedError("x-power appeared inside the expansion")
         sides = newton_polygon(f).sides

@@ -31,7 +31,8 @@ the inverse, ``None`` for zero, or a :class:`TowerSplit` for a zero
 divisor.  The zero test is ``bool``: a rational or a tower element is
 falsy exactly when it is zero.  :func:`tower_of` finds the tower a set of
 values lives in, and :func:`over_components` carries a payload of values
-into each split component with :func:`project_value`.
+into each split component with :func:`project_value`, the one map of values
+and payloads from a parent or prefix tower into another.
 
 ``Level.minpoly`` and ``TowerElement.rep`` keep the nested form for report
 JSON and :func:`compose_element`: a stage-0 representation is a
@@ -208,15 +209,6 @@ class Tower:
         if mp[-1] != self.one().rep:
             raise ValueError("minimal polynomial must be monic")
         return self._extend(Level(name, mp))
-
-    def project_value(self, v: Value) -> Value:
-        """Map an element of an ancestor tower (a split parent) or of a
-        prefix tower into this one; rationals pass unchanged."""
-        if not isinstance(v, TowerElement) or v.tower is self:
-            return v
-        if v.tower.height != self.height:
-            return self.lift(v)
-        return self.from_rep(v.rep)
 
     def _mul_table(self):
         """``(pos, red, q, monos)``: ``monos`` lists the reductions of the
@@ -511,11 +503,16 @@ def invert_value(v: Value) -> Value:
 
 
 def project_value(v, tower: Tower):
-    """Map a payload into a component tower: a tower element is projected,
-    a tuple or list entrywise, anything with a ``project(tower)`` method
-    projects itself, and everything else (rationals, None) is unchanged."""
+    """Map a payload into a component tower: an element of an ancestor tower
+    (a split parent) or of a prefix tower is projected, a tuple or list
+    entrywise, anything with a ``project(tower)`` method projects itself,
+    and everything else (rationals, None) is unchanged."""
     if isinstance(v, TowerElement):
-        return tower.project_value(v)
+        if v.tower is tower:
+            return v
+        if v.tower.height != tower.height:
+            return tower.lift(v)
+        return tower.from_rep(v.rep)
     if isinstance(v, tuple):
         return tuple(project_value(x, tower) for x in v)
     if isinstance(v, list):

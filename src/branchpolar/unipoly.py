@@ -1,18 +1,21 @@
-"""Univariate polynomials over exact scalar values.
+"""Univariate polynomials as dense coefficient lists: the one list core.
 
-Polynomials here are plain dense coefficient lists (index = degree, trailing
-ring-zeros stripped) whose entries are rationals or tower elements.  This is
-the layer used for side polynomials, minimal polynomials, gcd and squarefree
-computations during Newton-Puiseux root taking.  Everything is exact;
-inversions go through :func:`~branchpolar.tower.unit_inverse`, so any of
-these functions may raise :class:`~branchpolar.tower.TowerSplit`.
+A polynomial here is a plain list (index = degree, trailing zeros stripped,
+so ``[]`` is zero).  :func:`ustrip`, :func:`udeg` and :func:`uneg` ask
+nothing of an entry but ``bool`` and ``-``, so the subresultant PRS of
+:mod:`~branchpolar.poly` runs on the same lists with polynomial entries.
+The rest of the layer takes rationals or tower elements as entries: side
+polynomials, minimal polynomials, gcd and squarefree computations during
+Newton-Puiseux root taking.  Everything is exact; inversions go through
+:func:`~branchpolar.tower.unit_inverse`, so any of these functions may
+raise :class:`~branchpolar.tower.TowerSplit`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .tower import Tower, Value, over_components, tower_of, unit_inverse
+from .tower import Tower, over_components, tower_of, unit_inverse
 
 UPoly = list  # list[Value], dense, trailing zeros stripped
 
@@ -50,25 +53,14 @@ def uderiv(p: UPoly) -> UPoly:
     return ustrip([i * c for i, c in enumerate(p)][1:])
 
 
-def umonic(p: UPoly) -> tuple[UPoly, Value]:
-    """Normalize to a monic polynomial; returns (monic, leading coefficient).
-
-    The leading coefficient must be a unit (zero divisors split the tower).
-    """
+def umonic(p: UPoly) -> UPoly:
+    """The monic associate of p, whose leading coefficient must be a unit
+    (zero divisors split the tower)."""
     p = ustrip(p)
     if not p:
         raise ZeroDivisionError("monic normalization of the zero polynomial")
-    lc = p[-1]
-    inv = unit_inverse(lc)
-    if inv == 1:
-        return list(p), lc
-    return [c * inv for c in p[:-1]] + [_one_like(inv)], lc
-
-
-def _one_like(v: Value) -> Value:
-    if isinstance(v, Fraction):
-        return Fraction(1)
-    return v.tower.one()
+    inv = unit_inverse(p[-1])
+    return p if inv == 1 else [c * inv for c in p]
 
 
 def udivmod(p: UPoly, d: UPoly) -> tuple[UPoly, UPoly]:
@@ -105,21 +97,20 @@ def ugcd(p: UPoly, q: UPoly) -> UPoly:
     tower when its leading coefficient is a zero divisor)."""
     a, b = ustrip(p), ustrip(q)
     while b:
-        a, _ = umonic(a) if a else (a, None)
-        b, _ = umonic(b)
+        a = umonic(a) if a else a
+        b = umonic(b)
         _, r = udivmod(a, b)
         a, b = b, r
     if not a:
         return []
-    m, _ = umonic(a)
-    return m
+    return umonic(a)
 
 
 def uyun(p: UPoly) -> list[tuple[UPoly, int]]:
     """Yun's squarefree factorization: ``[(g_i, i)]`` with each ``g_i`` monic
     squarefree of multiplicity ``i``, pairwise coprime, and
     ``p ~ prod g_i^i`` up to a unit.  Characteristic zero only."""
-    p, _ = umonic(p)
+    p = umonic(p)
     if udeg(p) == 0:
         return []
     dp = uderiv(p)
@@ -133,7 +124,7 @@ def uyun(p: UPoly) -> list[tuple[UPoly, int]]:
     while udeg(w) > 0:
         z = usub(y, uderiv(w))
         gi = ugcd(w, z) if z else list(w)
-        gi, _ = umonic(gi)
+        gi = umonic(gi)
         if udeg(gi) > 0:
             out.append((gi, i))
         w = uexact_div(w, gi)

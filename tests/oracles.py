@@ -45,9 +45,9 @@ def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> Biv
     sign = 1
     prev = BivariatePolynomial.one()
     for k in range(size - 1):
-        if M[k][k].is_zero:
+        if not M[k][k]:
             for r in range(k + 1, size):
-                if not M[r][k].is_zero:
+                if M[r][k]:
                     M[k], M[r] = M[r], M[k]
                     sign = -sign
                     break
@@ -159,12 +159,12 @@ def milnor_number_two_shears(f: BivariatePolynomial, rng: random.Random | None =
             rho = -rho
         g = shift_y(g0, rho)
         gx, gy = g.derivative_x(), g.derivative_y()
-        if gx.is_zero or gy.is_zero:
+        if not gx or not gy:
             return 0
         if gy.degree_y() <= 0 and gx.degree_y() <= 0:
             return 0
         res = resultant_y(gx, gy)
-        orders.append(None if res.is_zero else res.x_order())
+        orders.append(res.x_order() if res else None)
     if orders[0] is None and orders[1] is None:
         raise NonIsolatedSingularityError("Res_y(f_x, f_y) vanishes identically for two shears")
     if orders[0] != orders[1]:

@@ -165,6 +165,43 @@ def test_analyze_file_input(tmp_path, capsys):
     assert json.loads(out)["semigroup"]["generators"] == [2, 3]
 
 
+def test_analyze_unreadable_spec_file_is_a_parse_error(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "branch.txt"
+    p.write_bytes(b"x=t^2; y=t^3 \xff\n")
+    code, out = run_cli(capsys, "analyze", str(p))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert err["stage"] == "parse" and "utf-8" in err["message"]
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out = run_cli(capsys, "analyze", str(p))
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "stage": "parse", "message": f"[Errno 13] Permission denied: '{p}'"
+    }
+
+
+def test_analyze_unwritable_json_path_is_an_output_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    code, out = run_cli(capsys, "analyze", "x=t^2; y=t^3", "--json", str(target))
+    assert code == 2
+    err = json.loads(out)["error"]
+    assert set(err) == {"stage", "message"} and err["stage"] == "output"
+    assert str(target) in err["message"]
+    assert not target.exists()
+
+
+def test_analyze_spec_longer_than_a_file_name(capsys):
+    spec = "x=t^5; y=t^12" + "".join(f" + 0 t^{e}" for e in range(26, 162, 2))
+    assert len(spec) > 255
+    code, out = run_cli(capsys, "analyze", spec)
+    assert code == 0
+    assert json.loads(out)["semigroup"]["generators"] == [5, 12]
+
+
 def test_family_command(capsys):
     code, out = run_cli(capsys, "family", "gamma-5-12/10", "--params", "c=7", "--seed", "1")
     assert code == 0

@@ -1,5 +1,6 @@
 """Family instantiation with side conditions, and the branch DSL."""
 
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,14 @@ import pytest
 from branchpolar.branch import PuiseuxBranch, differential_values
 from branchpolar.dsl import format_branch, parse_branch
 from branchpolar.errors import DSLError
-from branchpolar.families import FamilyError, family, gamma_5_12, mult4_g1_wall, mult4_g2
+from branchpolar.families import (
+    FAMILY_NAMES,
+    FamilyError,
+    family,
+    gamma_5_12,
+    mult4_g1_wall,
+    mult4_g2,
+)
 
 
 def test_family_row10_instantiation():
@@ -93,6 +101,27 @@ def test_dsl_examples():
     )
     assert dict(s2.branch.y_terms)[21] == F(2)
     assert s2.parameters == {"c": F(2)}
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("x=t^5; y=t^12 - c t^21 where c=2", F(-2)),
+        ("x=t^5; y=t^12 - - c t^21 where c=-3", F(-3)),
+        ("x=t^5; y=t^12 + c t^21 where c=-3", F(-3)),
+    ],
+)
+def test_dsl_signed_parameter_terms(text, want):
+    s = parse_branch(text)
+    assert dict(s.branch.y_terms) == {12: F(1), 21: want}
+
+
+def test_family_names_are_one_table():
+    for name in FAMILY_NAMES:
+        fam = family(name)
+        assert fam.name == name
+        assert pickle.loads(pickle.dumps(fam)).name == name
+    assert family("gamma-5-12/7").parameters == gamma_5_12(7).parameters
 
 
 def test_dsl_rejections():
