@@ -178,6 +178,8 @@ def differential_values(b: PuiseuxBranch) -> DifferentialValues:
     """
     gamma = semigroup_of_branch(b)
     c = gamma.conductor
+    if c == 0:  # a smooth branch: the extra set lies in [0, c) = {}
+        return DifferentialValues(gamma, frozenset())
     n = b.n
     W = c + n
     if b.trunc is not None and b.trunc < W:
@@ -188,8 +190,6 @@ def differential_values(b: PuiseuxBranch) -> DifferentialValues:
     dx = TruncatedSeries.monomial(n - 1, Fraction(n), W)
     dy = ys.derivative()
     m = b.y_order()
-    if m is None:
-        raise ValueError("monomial branch in x only: y vanishes identically")
 
     def shifted(s: TruncatedSeries, k: int) -> TruncatedSeries:  # t^k * s mod t^W
         return TruncatedSeries({e + k: v for e, v in s.terms.items()}, min(s.trunc + k, W))

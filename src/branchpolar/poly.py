@@ -16,7 +16,9 @@ two such rings:
   when every coefficient of both inputs is a ``Fraction``: each input is
   scaled to a primitive integer polynomial, the PRS divides exactly in
   Z[x] without any ``Fraction`` arithmetic, and the scales are divided back
-  out of the resultant.
+  out of the resultant.  Its products and divisions skip zero
+  coefficients: the y-coefficients of the PRS inputs and remainders carry
+  x-power factors, so most coefficient pairs have a zero factor.
 * :class:`BivariatePolynomial` itself, for tower-valued inputs to
   ``resultant_y``.
 """
@@ -314,10 +316,11 @@ class ZX(list):
         if not self or not other:
             return ZX()
         out = ZX([0] * (len(self) + len(other) - 1))
+        nonzero = [(k, b) for k, b in enumerate(other) if b]
         for i, a in enumerate(self):
             if a:
-                for k, b in enumerate(other, i):
-                    out[k] += a * b
+                for k, b in nonzero:
+                    out[i + k] += a * b
         return out
 
     __pow__ = BivariatePolynomial.__pow__  # square-and-multiply from one()
@@ -334,14 +337,15 @@ class ZX(list):
             raise ArithmeticError("division is not exact")
         rem = list(self)
         q = ZX([0] * (len(self) - dd))
+        nonzero = [(i, b) for i, b in enumerate(d[:dd]) if b]
         for k in range(len(q) - 1, -1, -1):
             c, r = divmod(rem[k + dd], lead)
             if r:
                 raise ArithmeticError("division is not exact")
             if c:
                 q[k] = c
-                for i in range(dd):
-                    rem[k + i] -= c * d[i]
+                for i, b in nonzero:
+                    rem[k + i] -= c * b
         if any(rem[:dd]):
             raise ArithmeticError("division is not exact")
         return q

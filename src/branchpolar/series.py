@@ -14,15 +14,20 @@ bounds) assert the sharper order with :meth:`TruncatedSeries.declare_trunc`.
 
 Branches have x = t^n, so :func:`evaluate_bivariate` takes n and shifts
 exponents, x^i -> t^(n*i), instead of multiplying series of x.
+
+A product of rational series runs on integer numerators over each
+operand's common denominator and builds one ``Fraction`` per output term;
+series with tower values keep the generic loop over coefficient pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .errors import PrecisionError
-from .tower import Value, invert_value, project_value, unit_inverse
+from .tower import Value, invert_value, project_value, tower_of, unit_inverse
 
 INF = None  # truncation sentinel: exact series
 
@@ -166,6 +171,19 @@ class TruncatedSeries:
             oa = self.min_exponent()
             cands.append(tb + (oa if oa is not None else (ta or 0)))
         trunc = min(cands) if cands else None
+        if tower_of(self.terms.values()) is None and tower_of(other.terms.values()) is None:
+            # integer numerators over each operand's common denominator
+            da = lcm(*(c.denominator for c in self.terms.values()))
+            db = lcm(*(c.denominator for c in other.terms.values()))
+            bs = [(e2, c2.numerator * (db // c2.denominator)) for e2, c2 in other.terms.items()]
+            sums: dict = {}
+            for e1, c1 in self.terms.items():
+                a = c1.numerator * (da // c1.denominator)
+                for e2, b in bs:
+                    e = e1 + e2
+                    if trunc is None or e < trunc:
+                        sums[e] = sums.get(e, 0) + a * b
+            return TruncatedSeries({e: Fraction(v, da * db) for e, v in sums.items() if v}, trunc)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -24,6 +24,9 @@ from branchpolar.tower import (
 from branchpolar.unipoly import UPoly, ucyclotomic, ustrip
 
 
+PRIMES = (10007, 10009, 10037, 99991, 1000003, 1000033)
+
+
 def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:
     """Resultant with respect to y via fraction-free Bareiss elimination of
     the Sylvester matrix; an independent route kept as an oracle for the
@@ -207,6 +210,26 @@ def umul(p: UPoly, q: UPoly) -> UPoly:
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return ustrip(out)
+
+
+def series_product(a: TruncatedSeries, b: TruncatedSeries) -> tuple[dict, int | None]:
+    """(terms, trunc) of a * b by the generic pair loop: every product of
+    two stored coefficients added into its exponent's running sum."""
+    if a.is_exact_zero or b.is_exact_zero:
+        return {}, None
+    cands = []
+    if a.trunc is not None:
+        cands.append(a.trunc + (min(b.terms) if b.terms else (b.trunc or 0)))
+    if b.trunc is not None:
+        cands.append(b.trunc + (min(a.terms) if a.terms else (a.trunc or 0)))
+    trunc = min(cands) if cands else None
+    terms: dict = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = e1 + e2
+            if trunc is None or e < trunc:
+                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in terms.items() if c}, trunc
 
 
 # -- nested-Fraction tower arithmetic ------------------------------------------

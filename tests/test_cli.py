@@ -129,6 +129,22 @@ def test_analyze_smooth_branch_has_empty_polar(capsys):
     assert polar["genericity"]["certified"] is True
 
 
+def test_analyze_x_axis_is_a_smooth_branch(capsys):
+    # y = 0 is smooth (conductor 0, no differential values), like y = t
+    reports = []
+    for spec in ("x=t^1; y=0 t^2", "x=t^1; y=t^1"):
+        code, out = run_cli(capsys, "analyze", spec)
+        assert code == 0
+        reports.append(json.loads(out))
+    axis, line = reports
+    assert "error" not in axis
+    assert axis["milnor"] == 0 and axis["differential_values"] == []
+    assert axis["polar"]["type"] == {"branches": [], "intersections": [], "milnor": 0}
+    assert {k: v for k, v in axis.items() if k != "input"} == {
+        k: v for k, v in line.items() if k != "input"
+    }
+
+
 def test_analyze_large_exponent_tail(capsys):
     # the Weierstrass check evaluates f at a branch with t^4001: no
     # recursion or cache sized by the exponent

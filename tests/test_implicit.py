@@ -10,8 +10,8 @@ import pytest
 from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
 from branchpolar.equising import equisingularity_type, random_direction
 from branchpolar.errors import NonIsolatedSingularityError
-from branchpolar.families import SQRT6
-from branchpolar.implicit import implicitize, milnor_number, polar, shears
+from branchpolar.families import SQRT6, gamma_5_12
+from branchpolar.implicit import _check_weierstrass, implicitize, milnor_number, polar, shears
 from branchpolar.poly import BivariatePolynomial as BP
 from branchpolar.series import evaluate_bivariate
 
@@ -155,6 +155,18 @@ def test_vanishing_and_weierstrass_shape():
         if cj:
             assert cj.x_power_divisor() > j
     assert evaluate_bivariate(f, b.n, b.y_series(None)).is_exact_zero
+
+
+def test_vanishing_check_catches_a_perturbed_equation():
+    # every coefficient of a <5,12> row equation, moved by 1/10^12, keeps the
+    # degree and the order condition and must fail the vanishing check alone
+    fam = gamma_5_12(18)
+    b = fam.branch(fam.sample_params(random.Random(5)))
+    f = implicitize(b)
+    for ij, c in f.terms.items():
+        g = BP({**f.terms, ij: c + F(1, 10**12)})
+        with pytest.raises(AssertionError, match="does not vanish"):
+            _check_weierstrass(g, b)
 
 
 def test_polar_row1_and_derivative():

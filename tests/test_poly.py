@@ -12,9 +12,7 @@ from branchpolar.poly import (
     BivariatePolynomial as BP,
     resultant_y,
 )
-from oracles import shift_y, sylvester_resultant_y
-
-PRIMES = (10007, 10009, 10037, 99991, 1000003, 1000033)
+from oracles import PRIMES, shift_y, sylvester_resultant_y
 
 
 def rand_poly(rng, terms=6, deg=4, height=10, dens=(1,), ydeg=None):
@@ -30,6 +28,18 @@ def sqrt6_poly(rng):
         (rng.randint(0, 2), rng.randint(0, 2)): F(rng.randint(-5, 5)) + F(rng.randint(1, 5)) * SQRT6
         for _ in range(rng.randint(2, 4))
     })
+
+
+def sparse_poly(rng, ydeg):
+    """Shaped like the sweep's resultant inputs: a monomial leading
+    coefficient, and y^j-coefficients x^v * (sparse polynomial) whose v grows
+    as j falls, so the rows carry long runs of zeros."""
+    t = {(rng.randint(0, 6), ydeg): F(rng.randint(1, 9), rng.choice((1, 7)))}
+    for j in range(ydeg):
+        v = rng.randint(2, 5) * (ydeg - j)
+        for i in rng.sample((0, 4, 9, 15), 2):
+            t[(v + i, j)] = F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 3)))
+    return BP(t)
 
 
 def oracle_pairs(rng):
@@ -55,6 +65,9 @@ def oracle_pairs(rng):
             rand_poly(rng, terms=5, deg=3, dens=(1, 4, 9)),
             rand_poly(rng, terms=3, deg=3, dens=(1, 4, 9), ydeg=0),
         )
+    for _ in range(20):
+        f, g = sparse_poly(rng, rng.randint(2, 4)), sparse_poly(rng, rng.randint(1, 3))
+        yield "sparse x-powers", f, g
     for _ in range(6):
         yield "sqrt6", sqrt6_poly(rng), sqrt6_poly(rng)
 
@@ -87,7 +100,7 @@ def test_prs_equals_sylvester_on_randoms(rng):
         assert resultant_y(b, a) == res * BP.constant(F((-1) ** (a.degree_y() * b.degree_y())))
         checked[kind] = checked.get(kind, 0) + 1
     assert checked["integer"] > 150
-    assert min(checked.values()) >= 5 and len(checked) == 5
+    assert min(checked.values()) >= 5 and len(checked) == 6
 
 
 def test_resultant_ring_follows_coefficients(monkeypatch, rng):
@@ -111,6 +124,12 @@ def test_zx_exact_division():
     for num, den in ((a * b - ZX([1])), b), (ZX([0, 1]), ZX([0, 2])), (b, a):
         with pytest.raises(ArithmeticError):
             num.exact_div(den)
+    # divisors whose zero coefficients the update skips: interior zeros, and
+    # a monomial, where only the final remainder check sees a low term
+    for d in ZX([2, 0, 0, 0, -3, 0, 1]), ZX([0, 0, 0, 5]):
+        assert (a * d).exact_div(d) == a
+        with pytest.raises(ArithmeticError):
+            (a * d - ZX([0, 1])).exact_div(d)
 
 
 def test_resultant_multiplicative(rng):

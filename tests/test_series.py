@@ -1,5 +1,6 @@
 """Truncated series: validity-order bookkeeping and the refusal to guess."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from branchpolar.errors import PrecisionError
 from branchpolar.poly import BivariatePolynomial as BP
 from branchpolar.series import TruncatedSeries as TS, evaluate_bivariate
+from oracles import PRIMES, series_product
 
 
 def test_order_of_products_adds(rng):
@@ -63,3 +65,50 @@ def test_stretch_scales_exponents_and_trunc():
     st = s.stretch(3)
     assert st.terms == {6: F(1), 9: F(2)}
     assert st.trunc == 3 * 4 + 1
+
+
+def _rand_series(rng, trunc):
+    dens = rng.choice(((1,), (1, 2, 3, 4), PRIMES))
+    terms = {
+        rng.randint(0, 12): F(rng.randint(-10**6, 10**6), rng.choice(dens))
+        for _ in range(rng.randint(1, 6))
+    }
+    return TS(terms, trunc)
+
+
+def _product_as_pair_loop(a, b):
+    p = a * b
+    assert (p.terms, p.trunc) == series_product(a, b)
+    assert all(type(c) is F for c in p.terms.values())
+    return p
+
+
+def test_rational_product_matches_pair_loop(rng):
+    # the common-denominator product against the generic pair loop: exact and
+    # truncated operands on either side
+    for ta, tb in ((None, None), (None, 9), (7, None), (5, 11), (14, 3)):
+        for _ in range(20):
+            _product_as_pair_loop(_rand_series(rng, ta), _rand_series(rng, tb))
+    # interior exponents that cancel: (1 + t + t^2)(1 - t) = 1 - t^3
+    c = F(1, 10007)
+    p = _product_as_pair_loop(TS({0: c, 1: c, 2: c}), TS({0: F(3), 1: F(-3)}))
+    assert p.terms == {0: F(3, 10007), 3: F(-3, 10007)}
+    # the lowest term of a product of stored terms survives, so a product
+    # has no terms only when an operand is zero modulo its truncation
+    p = _product_as_pair_loop(TS({}, 4), TS({2: F(5, 99991)}))
+    assert p.terms == {} and p.trunc == 6
+    p = _product_as_pair_loop(TS({1: F(2, 3)}, 6), TS({}, 4))
+    assert p.terms == {} and p.trunc == 5
+
+
+def test_product_is_not_sized_by_exponents():
+    a = TS({0: F(1, 3), 10**6: F(2, 7)})
+    b = TS({0: F(5), 10**6: F(-1, 1000003)}, 3 * 10**6)
+    tracemalloc.start()
+    try:
+        p = a * b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.terms == series_product(a, b)[0] and len(p.terms) == 3
+    assert p.trunc == 3 * 10**6 and peak < 10**5
