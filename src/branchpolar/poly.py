@@ -5,12 +5,14 @@ A :class:`BivariatePolynomial` is a sparse support-indexed polynomial in
 coefficient is ring-zero, and like every value in the package it is falsy
 exactly when it is zero.  A univariate polynomial in the main variable
 ``y`` is a dense :mod:`~branchpolar.unipoly` list of coefficients in x, and
-the resultant is computed by the subresultant PRS of Brown, which keeps
-intermediate coefficients at subresultant size instead of letting
-pseudo-remainders blow up.  The PRS needs an integral domain with exact
-division: of its coefficient ring it asks only ``bool`` (the zero test),
-``*``, ``-``, ``**``, ``exact_div`` and ``zero()``.  It runs over one of
-two such rings:
+the resultant is computed by Ducos's subresultant algorithm (L. Ducos,
+"Optimizations of the subresultant algorithm", J. Pure Appl. Algebra 145,
+2000): Brown's PRS with Lazard's powers across degree gaps and one
+pseudo-remainder in all, so every intermediate coefficient stays at
+subresultant size.  The PRS needs an integral domain with exact division:
+of its coefficient ring it asks only ``bool`` (the zero test), ``*``,
+``+``, ``-``, ``exact_div`` and ``zero()``, and ``**`` only for an argument
+of degree zero and the first scale.  It runs over one of two such rings:
 
 * :class:`ZX`, dense integer polynomials in x.  ``resultant_y`` picks it
   when every coefficient of both inputs is a ``Fraction``: each input is
@@ -285,7 +287,7 @@ class ZX(list):
 
     __slots__ = ()
     # list concatenation and repetition are not ring operations
-    __add__ = __iadd__ = __rmul__ = __imul__ = None
+    __iadd__ = __rmul__ = __imul__ = None
 
     @staticmethod
     def zero() -> "ZX":
@@ -297,6 +299,16 @@ class ZX(list):
 
     def __neg__(self) -> "ZX":
         return ZX([-a for a in self])
+
+    def __add__(self, other: "ZX") -> "ZX":
+        if len(self) < len(other):
+            self, other = other, self
+        out = ZX(self)
+        for i, b in enumerate(other):
+            out[i] += b
+        while out and not out[-1]:
+            out.pop()
+        return out
 
     def __sub__(self, other: "ZX") -> "ZX":
         if len(self) >= len(other):
@@ -390,16 +402,59 @@ def _prem(f: list, g: list) -> list:
     return r
 
 
+def lazard(x, y, n: int):
+    """x^n / y^(n-1) for n >= 1, by Lazard's square-and-multiply from the
+    top bit of n with one exact division by y after each product, so no
+    intermediate is larger than a power of the quotient's size."""
+    a = 1 << (n.bit_length() - 1)
+    c, n = x, n - a
+    while a > 1:
+        a >>= 1
+        c = (c * c).exact_div(y)
+        if n >= a:
+            c = (c * x).exact_div(y)
+            n -= a
+    return c
+
+
+def _next_subresultant(P: list, Q: list, Z: list, s) -> list:
+    """Ducos's reduction: the subresultant of degree below e that follows
+    Z, for consecutive subresultants P of degree d and Q of degree e < d,
+    s the principal subresultant coefficient of degree d, and Z = Q (lc Q /
+    s)^(d-e-1) the one of degree e.  It replaces prem(P, Q) and its division
+    by a power of s with d - e reductions modulo Q, each division exact."""
+    d, e = len(P) - 1, len(Q) - 1
+    lq, q_low, zero = Q[-1], Q[:-1], Q[-1].zero()
+    H = [-c for c in Z[:-1]]
+    A = [P[e] * c for c in H]
+    for j in range(e + 1, d):
+        h, H = H[-1], [zero] + H[:-1]  # y*H, its y^e coefficient split off
+        if h:
+            H = [c - (h * q).exact_div(lq) if q else c for c, q in zip(H, q_low)]
+        if P[j]:
+            A = [a + P[j] * c for a, c in zip(A, H)]
+    lz, lp = Z[-1], P[-1]
+    A = [(a + lz * p).exact_div(lp) for a, p in zip(A, P)]
+    h, H = H[-1], [zero] + H[:-1]
+    B = ustrip([lq * (c + a) - h * q for c, a, q in zip(H, A, q_low)])
+    if (d - e) % 2 == 0:
+        B = uneg(B)
+    return [b.exact_div(s) for b in B]
+
+
 def prs_resultant(f: list, g: list):
     """Resultant of two main-variable polynomials, an element of their
     coefficient ring, with the Sylvester sign convention.
 
-    Brown's subresultant PRS keeps only the last two remainders and the last
-    scalar subresultant, which is the resultant when the last remainder has
-    main-degree zero; a remainder sequence ending at a positive degree means
-    a common factor and a zero resultant.  The PRS runs with the larger
-    degree first, which costs a factor (-1)^(deg f * deg g) when the
-    arguments are swapped.
+    Ducos's subresultant algorithm keeps the last two subresultants P and
+    Q and the principal subresultant coefficient s of degree deg P.  One
+    pseudo-remainder starts the chain and every later step is
+    :func:`_next_subresultant`; a degree gap deg P - deg Q > 1 first scales
+    Q by Lazard's powers.  The chain stops at degree zero, whose scaled
+    subresultant is the resultant, and a chain ending at a positive degree
+    means a common factor and a zero resultant.  The algorithm runs with
+    the larger degree first, which costs a factor (-1)^(deg f * deg g) when
+    the arguments are swapped.
     """
     f, g = ustrip(f), ustrip(g)
     if not f or not g:
@@ -414,25 +469,16 @@ def prs_resultant(f: list, g: list):
     negate = n < m and (n * m) % 2
     if n < m:
         f, g, n, m = g, f, m, n
-    d = n - m
-    h = _prem(f, g)
-    if d % 2 == 0:
-        h = uneg(h)
-    lc = g[-1]
-    c = -(lc ** d)  # minus the last scalar subresultant
-    while h:
-        k = udeg(h)
-        f, g, m, d = g, h, k, m - k
-        b = -(lc * (c ** d))
-        h = [hi.exact_div(b) if hi else hi for hi in _prem(f, g)]
-        lc = g[-1]
-        if d > 1:
-            c = ((-lc) ** d).exact_div(c ** (d - 1))
-        else:
-            c = -lc
-    if udeg(g) > 0:
-        return g[-1].zero()
-    return c if negate else -c
+    s = g[-1] ** (n - m)
+    P, Q = g, _prem(f, uneg(g))
+    while len(Q) > 1:
+        Z = Q
+        if len(P) - len(Q) > 1:
+            c = lazard(Q[-1], s, len(P) - len(Q) - 1)
+            Z = [(c * q).exact_div(s) for q in Q]
+        P, Q, s = Z, _next_subresultant(P, Q, Z, s), Z[-1]
+    res = lazard(Q[0], s, len(P) - 1) if Q else g[-1].zero()
+    return -res if negate else res
 
 
 def resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> BivariatePolynomial:

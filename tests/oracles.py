@@ -9,7 +9,7 @@ from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
 from branchpolar.eqtype import EquisingularityType
 from branchpolar.equising import pair_intersection_values
 from branchpolar.errors import AmbiguousPairingError, NonIsolatedSingularityError, PrecisionError
-from branchpolar.poly import BivariatePolynomial, prs_resultant, resultant_y
+from branchpolar.poly import BivariatePolynomial, _prem, prs_resultant, resultant_y
 from branchpolar.puiseux import puiseux_expand
 from branchpolar.series import TruncatedSeries, evaluate_bivariate
 from branchpolar.tower import (
@@ -21,7 +21,7 @@ from branchpolar.tower import (
     tower_of,
     unit_inverse,
 )
-from branchpolar.unipoly import UPoly, ucyclotomic, ustrip
+from branchpolar.unipoly import UPoly, ucyclotomic, udeg, uneg, ustrip
 
 
 PRIMES = (10007, 10009, 10037, 99991, 1000003, 1000033)
@@ -64,6 +64,44 @@ def sylvester_resultant_y(f: BivariatePolynomial, g: BivariatePolynomial) -> Biv
         prev = M[k][k]
     det = M[size - 1][size - 1]
     return det if sign == 1 else -det
+
+
+def brown_prs_resultant(f: list, g: list):
+    """``poly.prs_resultant`` by Brown's subresultant PRS, which divides each
+    pseudo-remainder by -lc * c^d and forms the next scalar subresultant
+    from full powers; a reference for Ducos's algorithm there."""
+    f, g = ustrip(f), ustrip(g)
+    if not f or not g:
+        raise ValueError("resultant of the zero polynomial")
+    n, m = udeg(f), udeg(g)
+    if n == 0 and m == 0:
+        raise ValueError("resultant of two constants is not defined here")
+    if n == 0:
+        return f[0] ** m
+    if m == 0:
+        return g[0] ** n
+    negate = n < m and (n * m) % 2
+    if n < m:
+        f, g, n, m = g, f, m, n
+    d = n - m
+    h = _prem(f, g)
+    if d % 2 == 0:
+        h = uneg(h)
+    lc = g[-1]
+    c = -(lc**d)  # minus the last scalar subresultant
+    while h:
+        k = udeg(h)
+        f, g, m, d = g, h, k, m - k
+        b = -(lc * (c**d))
+        h = [hi.exact_div(b) if hi else hi for hi in _prem(f, g)]
+        lc = g[-1]
+        if d > 1:
+            c = ((-lc) ** d).exact_div(c ** (d - 1))
+        else:
+            c = -lc
+    if udeg(g) > 0:
+        return g[-1].zero()
+    return c if negate else -c
 
 
 def sieve_semigroup(gens) -> tuple[tuple[int, ...], int, frozenset[int]]:

@@ -1,18 +1,23 @@
-"""Bivariate polynomials: resultants by subresultant PRS against the
-Sylvester-determinant oracle, multiplicativity, and ring operations."""
+"""Bivariate polynomials: resultants by Ducos's subresultant algorithm
+against Brown's PRS and the Sylvester-determinant oracle, multiplicativity,
+and ring operations."""
 
 from fractions import Fraction as F
+from itertools import chain
 
 import pytest
 
 from branchpolar import poly
+from branchpolar.dsl import parse_branch
 from branchpolar.families import SQRT6
+from branchpolar.implicit import implicitize, milnor_number, polar
 from branchpolar.poly import (
     ZX,
     BivariatePolynomial as BP,
     resultant_y,
 )
-from oracles import PRIMES, shift_y, sylvester_resultant_y
+from branchpolar.unipoly import udeg
+from oracles import PRIMES, brown_prs_resultant, shift_y, sylvester_resultant_y
 
 
 def rand_poly(rng, terms=6, deg=4, height=10, dens=(1,), ydeg=None):
@@ -70,6 +75,99 @@ def oracle_pairs(rng):
         yield "sparse x-powers", f, g
     for _ in range(6):
         yield "sqrt6", sqrt6_poly(rng), sqrt6_poly(rng)
+
+
+def gap_pairs(rng):
+    """(kind, f, g) inputs whose subresultant chains skip degrees."""
+    y = BP.monomial(0, 1)
+    for _ in range(20):
+        a, b, c = (rand_poly(rng, terms=3, deg=3, ydeg=0) for _ in range(3))
+        yield "degree gaps", y**6 + a * y + b, y**2 + c
+    for _ in range(20):
+        # f = q g + r with deg_y r <= deg_y g - 3: the chain drops from
+        # deg_y g to deg_y r at once; g has zeroed middle y-coefficients
+        k = rng.randint(3, 6)
+        g = y**k + rand_poly(rng, terms=3, deg=3, ydeg=1) + rand_poly(rng, terms=3, deg=3, ydeg=0)
+        q = rand_poly(rng, terms=4, deg=3, dens=(1, 5))
+        r = sum((rand_poly(rng, terms=2, deg=3, ydeg=j) for j in range(k - 2)), BP())
+        yield "degree gaps", q * g + r, g
+    for _ in range(6):
+        g = y**4 + sqrt6_poly(rng)
+        r = y * BP.monomial(rng.randint(0, 2), 0, SQRT6) + BP.monomial(rng.randint(0, 2), 0, F(3))
+        yield "sqrt6 degree gaps", (y**2 + sqrt6_poly(rng)) * g + r, g
+
+
+def ring_rows(f, g):
+    """The y-coefficient rows ``resultant_y`` hands to the PRS: ZX rows up
+    to a scale for rational inputs, tower-valued polynomials otherwise."""
+    if all(isinstance(c, F) for p in (f, g) for c in p.terms.values()):
+        return poly._zx_y_coefficients(f)[0], poly._zx_y_coefficients(g)[0]
+    return f.y_coefficients(), g.y_coefficients()
+
+
+def test_ducos_equals_brown_and_sylvester(rng):
+    checked = {}
+    for kind, a, b in chain(oracle_pairs(rng), gap_pairs(rng)):
+        if not a or not b or (a.degree_y() <= 0 and b.degree_y() <= 0):
+            continue
+        # both orders: an odd product of y-degrees flips the sign
+        for f, g in (a, b), (b, a):
+            rows = ring_rows(f, g)
+            assert poly.prs_resultant(*rows) == brown_prs_resultant(*rows), kind
+            assert resultant_y(f, g) == sylvester_resultant_y(f, g), kind
+        checked[kind] = checked.get(kind, 0) + 1
+    assert min(checked.values()) >= 5 and len(checked) == 8
+
+
+def test_lazard_is_a_quotient_of_powers():
+    y = ZX([2, -1, 0, 3])
+    ys = BP({(0, 0): SQRT6, (1, 0): F(1)})
+    for x, d in (y * ZX([1, 4, 0, -2]), y), (ys * BP({(1, 0): F(2) + SQRT6, (0, 0): F(-1)}), ys):
+        for n in range(1, 10):
+            assert poly.lazard(x, d, n) == (x**n).exact_div(d ** (n - 1))
+    with pytest.raises(ArithmeticError):
+        poly.lazard(ZX([1, 1]), ZX([0, 2]), 3)
+
+
+def test_zx_addition_is_ring_addition():
+    assert ZX([1, 2]) + ZX([0, 0, 3]) == [1, 2, 3]
+    assert not ZX([1]) + ZX([-1])
+    with pytest.raises(TypeError):
+        3 * ZX([1])
+
+
+def test_ducos_needs_one_prem_and_fewer_products(monkeypatch):
+    # operation counts, not times: mu of a branch and of one of its polars
+    f = implicitize(parse_branch("x=t^16; y=t^17+t^23").branch)
+    prs, prem, mul = poly.prs_resultant, poly._prem, ZX.__mul__
+    calls, prems, products = [], [0], [0]
+
+    def prs_spy(a, b):
+        before = prems[0]
+        res = prs(a, b)
+        calls.append((a, b, prems[0] - before))
+        return res
+
+    def prem_spy(a, b):
+        prems[0] += 1
+        return prem(a, b)
+
+    def mul_spy(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(poly, "prs_resultant", prs_spy)
+    monkeypatch.setattr(poly, "_prem", prem_spy)
+    monkeypatch.setattr(ZX, "__mul__", mul_spy)
+    assert milnor_number(f) == 240 and milnor_number(polar(f, F(3, 7), F(-5, 11))) == 210
+    ducos = products[0]
+    assert len(calls) == 2
+    for a, b, count in calls:
+        assert count == (min(udeg(a), udeg(b)) >= 1)
+    products[0] = 0
+    for a, b, _ in calls:
+        brown_prs_resultant(a, b)
+    assert ducos < products[0]
 
 
 def test_resultant_trivial_examples():
