@@ -3,9 +3,9 @@ parametrization x = t^n, y = sum c_i t^i.
 
 The semigroup of values is read off the characteristic exponents through the
 classical recursion; the set of differential values is computed by pulling
-back monomial differentials, cut at t^(c + n) for the conductor c, and running
-a valuation-echelon elimination.  The value of a differential A dx + B dy on
-the branch is
+back y^j dx and y^j dy, cut at t^(c - 1) for the conductor c, into a
+valuation echelon that is closed under multiplication by x.  The value of a
+differential A dx + B dy on the branch is
 
     nu(omega) = ord_t( A(x(t),y(t)) x'(t) + B(x(t),y(t)) y'(t) ) + 1,
 
@@ -166,59 +166,48 @@ def characteristic_semigroup(betas) -> NumericalSemigroup:
 
 
 def differential_values(b: PuiseuxBranch) -> DifferentialValues:
-    """Values of monomial differentials closed under elimination.
+    """The extra set of Lambda from an echelon closed under x.
 
-    Pullbacks of x^i y^j dx and x^i y^j dy with value below W = conductor + n
-    are reduced against a valuation-echelon basis (pivot = lowest order,
-    ties broken by generation order); every pivot order + 1 is an achieved
-    value.  Since all integers >= conductor already lie in the semigroup,
-    the extra set is contained in [0, conductor) and the computation is
-    complete at this truncation, so every pullback is cut at t^W: y^j dx and
-    y^j dy are built once per j, and x^i = t^(i*n) is an exponent shift.
+    Pullbacks are cut at t^W, W = c - 1 for the conductor c.  A queue starts
+    with y^j dx and y^j dy while y^j != 0 mod t^W.  A series that reduces to
+    a new pivot order o joins the echelon, and x times it (a shift by t^n)
+    is queued.  The extra set is {o + 1 : o a pivot, o + 1 not in Gamma}:
+    - the pivot orders of a space do not depend on the order in which its
+      vectors are reduced;
+    - the span holds every y^j dx and y^j dy and is closed under x, so it
+      is the whole pullback space mod t^W;
+    - orders >= c - 1 only give values >= c, all of which lie in Gamma.
+    dy needs y mod t^c, so a truncated branch needs t^c.
     """
     gamma = semigroup_of_branch(b)
     c = gamma.conductor
     if c == 0:  # a smooth branch: the extra set lies in [0, c) = {}
         return DifferentialValues(gamma, frozenset())
-    n = b.n
-    W = c + n
-    if b.trunc is not None and b.trunc < W:
+    if b.trunc is not None and b.trunc < c:
         raise PrecisionError(
-            f"truncation t^{b.trunc} too small for differential values (need t^{W})"
+            f"truncation t^{b.trunc} too small for differential values (need t^{c})"
         )
-    ys = b.y_series(W)
+    n, W = b.n, c - 1
+    ys = b.y_series(c)
     dx = TruncatedSeries.monomial(n - 1, Fraction(n), W)
     dy = ys.derivative()
-    m = b.y_order()
-
-    def shifted(s: TruncatedSeries, k: int) -> TruncatedSeries:  # t^k * s mod t^W
-        return TruncatedSeries({e + k: v for e, v in s.terms.items()}, min(s.trunc + k, W))
-
-    candidates = []
+    queue = []
     yj = TruncatedSeries.constant(Fraction(1), W)
-    for j in range(W // m + 1):
-        ydx, ydy = (yj * dx).truncate(W), (yj * dy).truncate(W)
-        for i in range((W - j * m) // n + 1):
-            candidates.append((i * n + j * m + n, 0, i, j, shifted(ydx, i * n)))
-            candidates.append((i * n + j * m + m, 1, i, j, shifted(ydy, i * n)))
+    while not yj.is_zero_mod_trunc:
+        # prepended, so j = 0 is reduced first and the early pivots are sparse
+        queue[:0] = [(yj * dx).truncate(W), (yj * dy).truncate(W)]
         yj = (yj * ys).truncate(W)
-    candidates.sort(key=lambda r: r[:4])
-
     echelon: dict[int, TruncatedSeries] = {}
-    values = set()
-    for _, _, _, _, s in candidates:
-        while True:
-            if s.is_zero_mod_trunc:
-                break
+    while queue:
+        s = queue.pop()
+        while not s.is_zero_mod_trunc:
             o = min(s.terms)
-            if o in echelon:
-                s = s - echelon[o].scale(s.terms[o])
-            else:
-                echelon[o] = s.scale(unit_inverse(s.terms[o]))
-                values.add(o + 1)
+            if o not in echelon:
+                p = echelon[o] = s.scale(unit_inverse(s.terms[o]))
+                queue.append(TruncatedSeries({e + n: v for e, v in p.terms.items()}, W))
                 break
-    extra = frozenset(v for v in values if v < c and v not in gamma)
-    return DifferentialValues(gamma, extra)
+            s = s - echelon[o].scale(s.terms[o])
+    return DifferentialValues(gamma, frozenset(o + 1 for o in echelon if o + 1 not in gamma))
 
 
 def zariski_invariant(d: DifferentialValues) -> int | None:

@@ -269,20 +269,6 @@ def mult4_g1(form: int) -> BranchFamily:
     )
 
 
-def mult4_g1_wall(m: int, j: int, sign: int = 1, tail: dict | None = None) -> PuiseuxBranch:
-    """A second-normal-form branch on the sqrt6 wall a_1 = sign * 4 sqrt6 / 9
-    (the case 2/(m-j) = 1/([m/4]+k) with k = 1); ``tail`` maps higher moduli
-    indices i >= 2 to values, with sqrt6-tower values allowed."""
-    exps = _mult4_g1_exponents(m, j)
-    if not exps:
-        raise FamilyError("no moduli at these (m, j)")
-    terms = {m: Fraction(1), 3 * m - 4 * j: Fraction(1), exps[0]: Fraction(4 * sign, 9) * SQRT6}
-    for i, v in (tail or {}).items():
-        if v:
-            terms[exps[i - 1]] = v
-    return PuiseuxBranch.from_terms(4, terms)
-
-
 def mult4_g2() -> BranchFamily:
     """Multiplicity four, genus two: semigroup <4, v1, v2> with v1 = 2 k1,
     k1 odd, v2 odd, v2 > 2 v1; moduli at the exponents v2 - 4s lying

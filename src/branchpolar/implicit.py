@@ -84,13 +84,9 @@ def _check_weierstrass(f: BivariatePolynomial, b: PuiseuxBranch) -> None:
 
 def polar(f: BivariatePolynomial, a: Value, b: Value) -> BivariatePolynomial:
     """The polar of f in the direction (a : b): a f_x + b f_y."""
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(b, int):
-        b = Fraction(b)
     if not (a or b):
         raise ValueError("polar direction (0,0) rejected")
-    return f.derivative_x() * BivariatePolynomial.constant(a) + f.derivative_y() * BivariatePolynomial.constant(b)
+    return f.derivative_x().scale(a) + f.derivative_y().scale(b)
 
 
 def _origin_alone_on_y_axis(gx: BivariatePolynomial, gy: BivariatePolynomial) -> bool:

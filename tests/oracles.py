@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 from math import prod
 
-from branchpolar.branch import PuiseuxBranch, semigroup_of_branch
+from branchpolar.branch import DifferentialValues, PuiseuxBranch, semigroup_of_branch
 from branchpolar.eqtype import EquisingularityType
 from branchpolar.equising import pair_intersection_values
 from branchpolar.errors import AmbiguousPairingError, NonIsolatedSingularityError, PrecisionError
+from branchpolar.families import SQRT6, FamilyError, _mult4_g1_exponents
 from branchpolar.poly import BivariatePolynomial, _prem, prs_resultant, resultant_y
 from branchpolar.puiseux import puiseux_expand
 from branchpolar.series import TruncatedSeries, evaluate_bivariate
@@ -477,6 +478,80 @@ def self_pair_values_carved(
                 raise AssertionError("pair degree not divisible by the redundancy")
             out[value] = out.get(value, 0) + deg // red
     return out
+
+
+# -- branches and their differential values ----------------------------------
+
+
+def mult4_g1_wall(m: int, j: int, sign: int = 1, tail: dict | None = None) -> PuiseuxBranch:
+    """A second-normal-form branch on the sqrt6 wall a_1 = sign * 4 sqrt6 / 9
+    (the case 2/(m-j) = 1/([m/4]+k) with k = 1); ``tail`` maps higher moduli
+    indices i >= 2 to values, with sqrt6-tower values allowed."""
+    exps = _mult4_g1_exponents(m, j)
+    if not exps:
+        raise FamilyError("no moduli at these (m, j)")
+    terms = {m: Fraction(1), 3 * m - 4 * j: Fraction(1), exps[0]: Fraction(4 * sign, 9) * SQRT6}
+    for i, v in (tail or {}).items():
+        if v:
+            terms[exps[i - 1]] = v
+    return PuiseuxBranch.from_terms(4, terms)
+
+
+def differential_values_echelon(b: PuiseuxBranch) -> DifferentialValues:
+    """Values of monomial differentials closed under elimination: the
+    candidate-list echelon that ``branch.differential_values`` replaced.
+
+    Pullbacks of x^i y^j dx and x^i y^j dy with value below W = conductor + n
+    are reduced against a valuation-echelon basis (pivot = lowest order,
+    ties broken by generation order); every pivot order + 1 is an achieved
+    value.  Since all integers >= conductor already lie in the semigroup,
+    the extra set is contained in [0, conductor) and the computation is
+    complete at this truncation, so every pullback is cut at t^W: y^j dx and
+    y^j dy are built once per j, and x^i = t^(i*n) is an exponent shift.
+    """
+    gamma = semigroup_of_branch(b)
+    c = gamma.conductor
+    if c == 0:  # a smooth branch: the extra set lies in [0, c) = {}
+        return DifferentialValues(gamma, frozenset())
+    n = b.n
+    W = c + n
+    if b.trunc is not None and b.trunc < W:
+        raise PrecisionError(
+            f"truncation t^{b.trunc} too small for differential values (need t^{W})"
+        )
+    ys = b.y_series(W)
+    dx = TruncatedSeries.monomial(n - 1, Fraction(n), W)
+    dy = ys.derivative()
+    m = b.y_order()
+
+    def shifted(s: TruncatedSeries, k: int) -> TruncatedSeries:  # t^k * s mod t^W
+        return TruncatedSeries({e + k: v for e, v in s.terms.items()}, min(s.trunc + k, W))
+
+    candidates = []
+    yj = TruncatedSeries.constant(Fraction(1), W)
+    for j in range(W // m + 1):
+        ydx, ydy = (yj * dx).truncate(W), (yj * dy).truncate(W)
+        for i in range((W - j * m) // n + 1):
+            candidates.append((i * n + j * m + n, 0, i, j, shifted(ydx, i * n)))
+            candidates.append((i * n + j * m + m, 1, i, j, shifted(ydy, i * n)))
+        yj = (yj * ys).truncate(W)
+    candidates.sort(key=lambda r: r[:4])
+
+    echelon: dict[int, TruncatedSeries] = {}
+    values = set()
+    for _, _, _, _, s in candidates:
+        while True:
+            if s.is_zero_mod_trunc:
+                break
+            o = min(s.terms)
+            if o in echelon:
+                s = s - echelon[o].scale(s.terms[o])
+            else:
+                echelon[o] = s.scale(unit_inverse(s.terms[o]))
+                values.add(o + 1)
+                break
+    extra = frozenset(v for v in values if v < c and v not in gamma)
+    return DifferentialValues(gamma, extra)
 
 
 # -- types by pairwise sheet sums ---------------------------------------------

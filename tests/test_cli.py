@@ -105,8 +105,8 @@ def test_analyze_milnor_conductor_mismatch_is_a_polar_failure(monkeypatch, capsy
 def test_analyze_tower_branch_reports_input_stage():
     # a branch on a sqrt6 wall has no DSL text: an error entry, no traceback
     from branchpolar.dsl import BranchSpec
-    from branchpolar.families import mult4_g1_wall
     from branchpolar.report import analyze
+    from oracles import mult4_g1_wall
 
     payload = json.loads(analyze(BranchSpec("sqrt6 wall", mult4_g1_wall(29, 13))).to_json())
     assert payload["error"]["stage"] == "input"
@@ -252,6 +252,20 @@ def test_sweep_stratum_11(capsys):
     assert len(groups) == 1
     assert groups[0]["type"]["branches"] == [[2, 5], [2, 5]]
     assert groups[0]["type"]["intersections"][0][1] == 10
+
+
+def test_sweep_no_walls_keeps_the_generic_type(capsys):
+    # row 18's three walls each take one of the four trials; without them
+    # every draw has the generic row-18 polar: two <2,5> branches meeting at 10
+    _, walled = run_cli(capsys, "sweep", "gamma-5-12/18", "--trials", "4", "--seed", "1")
+    code, out = run_cli(capsys, "sweep", "gamma-5-12/18", "--trials", "4", "--seed", "1", "--no-walls")
+    assert code == 0
+    payload = json.loads(out)
+    assert json.loads(walled)["walls_injected"] and not payload["walls_injected"]
+    assert len(json.loads(walled)["report"]["groups"]) == 4
+    (group,) = payload["report"]["groups"]
+    assert group["count"] == 4
+    assert group["type"] == {"branches": [[2, 5], [2, 5]], "intersections": [[None, 10], [10, None]], "milnor": 27}
 
 
 @pytest.mark.parametrize("patched", ["intersection_multiplicity", "milnor_number"])

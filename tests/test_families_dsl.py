@@ -13,9 +13,9 @@ from branchpolar.families import (
     FamilyError,
     family,
     gamma_5_12,
-    mult4_g1_wall,
     mult4_g2,
 )
+from oracles import mult4_g1_wall
 
 
 def test_family_row10_instantiation():
